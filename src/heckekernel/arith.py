@@ -65,6 +65,14 @@ def divisor_count(n: int) -> int:
     return count
 
 
+def divisor_sieve(C: int) -> np.ndarray:
+    """[d(1), ..., d(C)] by a sieve over the multiples of each i <= C."""
+    d = np.zeros(C + 1, dtype=np.int64)
+    for i in range(1, C + 1):
+        d[i::i] += 1
+    return d[1:]
+
+
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
     if n < 1:

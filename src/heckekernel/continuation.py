@@ -39,16 +39,16 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .accumulate import tree_sum
-from .arith import divisor_count, divisor_sigma, unit_inverse_table
+from .arith import divisor_sieve, divisor_sigma, unit_inverse_table
 from .errors import TailTooLarge
 from .special import EULER_GAMMA, gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
-from .latsum import omega_n_direct, xi0_direct, xi_direct, xi_term_fn, xic_slice
+from .latsum import omega_n_direct, xi0_direct, xi_direct, xic_slice
 from .types import (
     EvalResult,
     FourierAssemblyConfig,
@@ -179,8 +179,20 @@ def _weil_zeta_tail(a_min: int, exponent: float, C: int) -> float:
     if p <= 1.0:
         return math.inf
     full = abs(zeta_fn(p)) ** 2
-    partial = sum(divisor_count(c) * c ** (-p) for c in range(1, C + 1))
-    return math.sqrt(max(1, a_min)) * max(full - partial, 0.0)
+    partials = _divisor_zeta_partials(p)
+    if len(partials) <= C:
+        # rebuilt rather than extended: the same left-to-right sum as
+        # sum(d(c) c^(-p) for c <= C), so every tail is bit-identical to it
+        d = divisor_sieve(C).tolist()
+        partials[:] = itertools.accumulate((dc * c ** (-p) for c, dc in enumerate(d, 1)), initial=0.0)
+    return math.sqrt(max(1, a_min)) * max(full - partials[C], 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _divisor_zeta_partials(p: float) -> list[float]:
+    """Running sums sum_{c <= k} d(c) c^(-p) for k = 0, 1, ...: one list per
+    exponent, grown in place by _weil_zeta_tail to the largest C asked for."""
+    return [0.0]
 
 
 def kloosterman_zeta(r: int, rp: int, exponent: float, C: int = 4000,
@@ -294,26 +306,27 @@ def c_prefactor(n: int, s: float) -> complex:
 def shift_correction(z1: complex, z2: complex, n: int, s: float,
                      cfg: FourierAssemblyConfig) -> tuple[complex, float]:
     """sum over c > 0 terms of [true - shifted], absolutely convergent at
-    the boundary (one extra order of decay in every direction)."""
-    term_fn = xi_term_fn(n, s)
+    the boundary (one extra order of decay in every direction).
 
-    def diff_slice(c: int) -> complex:
-        t = xic_slice(z1, z2, c, n, s, cfg.corr_K, term_fn, shifted=False, ball_mask=False)
-        sft = xic_slice(z1, z2, c, n, s, cfg.corr_K, term_fn, shifted=True, ball_mask=False)
+    Each c-slice is xic_slice's fused true-term pass over the corr_K
+    window minus the shifted window in its exactly factorized form, so the
+    shifted half costs O(phi(c) K) instead of O(phi(c) K^2).
+    """
+
+    def diff_slice(c: int, K: int) -> complex:
+        t = xic_slice(z1, z2, c, n, s, K, shifted=False)
+        sft = xic_slice(z1, z2, c, n, s, K, shifted=True)
         return t - sft
 
-    vals = [diff_slice(c) for c in range(1, cfg.corr_C + 1)]
+    vals = [diff_slice(c, cfg.corr_K) for c in range(1, cfg.corr_C + 1)]
     total = tree_sum(vals)
     # c-tail ~ |last slice| * C / 2 for a 1/c^3 envelope; window tail from
     # halving the lattice window
     c_tail = abs(vals[-1]) * cfg.corr_C / 2.0
-    half_K = replace(cfg, corr_K=max(8, cfg.corr_K // 2))
-    probe_cs = range(1, min(6, cfg.corr_C + 1))
+    half_K = max(8, cfg.corr_K // 2)
     window_diff = 0.0
-    for c in probe_cs:
-        t = xic_slice(z1, z2, c, n, s, half_K.corr_K, term_fn, shifted=False, ball_mask=False)
-        sft = xic_slice(z1, z2, c, n, s, half_K.corr_K, term_fn, shifted=True, ball_mask=False)
-        window_diff += abs((t - sft) - vals[c - 1])
+    for c in range(1, min(6, cfg.corr_C + 1)):
+        window_diff += abs(diff_slice(c, half_K) - vals[c - 1])
     return total, c_tail + 2.0 * window_diff
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .arith import divisor_sigma, kloosterman_abc, weil_bound
+from .arith import divisor_sieve, divisor_sigma, kloosterman_abc, weil_bound
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
 from .latsum import _power_law_limit, ball_sum, omega_direct, psi_term_fn, s_series_direct
@@ -220,7 +220,7 @@ def check_dirichlet(C: int = 100_000, s: float = 3.0, tolerance: float = 1e-3) -
     report = CheckReport(name="dirichlet", tolerance=tolerance)
     c = np.arange(1, C + 1, dtype=np.float64)
     phi = _phi_sieve(C).astype(np.float64)
-    dcount = _divisor_sieve(C).astype(np.float64)
+    dcount = divisor_sieve(C).astype(np.float64)
     inv_cs = c ** (-s)
     lhs_phi = float(np.sum(phi * inv_cs))
     rhs_phi = (zeta_fn(s - 1.0) / zeta_fn(s)).real
@@ -246,13 +246,6 @@ def _phi_sieve(C: int) -> np.ndarray:
         if phi[p] == p:  # p prime
             phi[p::p] -= phi[p::p] // p
     return phi[1:]
-
-
-def _divisor_sieve(C: int) -> np.ndarray:
-    d = np.zeros(C + 1, dtype=np.int64)
-    for i in range(1, C + 1):
-        d[i::i] += 1
-    return d[1:]
 
 
 def _mobius_sieve(C: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .types import EvalResult, IntMatrix2, TruncationPolicy, nonzero_imag, upper
 
 _MARGIN = 0.1
 _BLOCK = 1 << 18  # max grid elements processed at once inside a chunk
+_SLICE_BLOCK = 1 << 15  # grid elements per xic_slice block (cache-sized)
 
 
 def mu(gamma: IntMatrix2, z1: complex, w: complex) -> complex:
@@ -500,12 +501,14 @@ def _xi0_tail(z1: complex, z2: complex, n: int, s: float, B: int) -> tuple[compl
 def xic_direct(z1: complex, z2: complex, n: int, s: float,
                policy: TruncationPolicy | None = None, shifted: bool = False,
                ball_mask: bool | None = None) -> EvalResult:
-    """The c > 0 part, c-sliced over (a0, k, l) windows.
+    """The c > 0 part, c-sliced over (a0, k, l) windows (see xic_slice).
 
     Unshifted sums the true kernel terms and defaults to the height-ball
     mask (so xi0 + 2 xic reproduces xi_direct at matched cutoffs);
     shifted drops the m/c offset of both kernels (the series whose Fourier
-    expansion is assembled in closed form) on plain rectangular windows.
+    expansion is assembled in closed form) and is summed in its exactly
+    factorized form, so it only exists on plain rectangular windows:
+    shifted with ball_mask=True raises ValueError.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
@@ -515,67 +518,106 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     warnings = ()
     if s <= (n + 1) / 2.0 + _MARGIN:
         warnings = ("NotAbsolutelyConvergent",)
-    term_fn = xi_term_fn(n, s)
     C = min(policy.C, policy.H) if ball_mask else policy.C
 
     def chunk(idx: int) -> complex:
         c = idx + 1
-        return xic_slice(z1, z2, c, n, s, policy.H, term_fn, shifted=shifted, ball_mask=ball_mask)
+        return xic_slice(z1, z2, c, n, s, policy.H, shifted=shifted, ball_mask=ball_mask)
 
     value = chunked_sum(C, chunk, workers=policy.workers)
-    last = xic_slice(z1, z2, C, n, s, policy.H, term_fn, shifted=shifted, ball_mask=ball_mask)
+    last = xic_slice(z1, z2, C, n, s, policy.H, shifted=shifted, ball_mask=ball_mask)
     err = abs(last) * C / 2.0 + policy.tol * 1e-3
     return _converged_result(value, err, policy, policy.tol, warnings)
 
 
 def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
-              term_fn: TermFn | None = None, shifted: bool = False,
-              ball_mask: bool = False, m: int = 1) -> complex:
-    """One c-slice of the c > 0 sum over the (a0, k, l) parametrization:
-    a = -a0 + c k, d = d0 + c l with a0 d0 = -m (mod c)."""
-    term_fn = term_fn or xi_term_fn(n, s)
+              shifted: bool = False, ball_mask: bool = False, m: int = 1) -> complex:
+    """One c-slice of the c > 0 Xi_n sum over the (a0, k, l) parametrization
+    a = -a0 + c k, d = d0 + c l with a0 d0 = -m (mod c).
+
+    With U = c z1 + d and v = z2 - a/c the kernels are mu1 = U v + m/c and
+    mu2 = U conj(v) + m/c (a/c is real), and the Xi_n term is
+    conj(P)^n |P|^(-2s) with P = mu1 mu2.  The window is |k|, |l| <= K,
+    centred on the points so that integer shifts of z1, z2 reindex it
+    exactly; with ball_mask it is instead the part of the height ball
+    max(|a|, |b|, |d|) <= K in this slice.
+
+    shifted drops the m/c offset, so P = U^2 |v|^2 and the window sum
+    factorizes exactly:
+
+        sum_a0 [sum_l conj(U)^(2n) |U|^(-4s)] [sum_k |v|^(2n-4s)],
+
+    at O(phi(c) K) cost.  The ball mask couples k and l through b, so
+    shifted=True with ball_mask=True raises ValueError.
+
+    The true terms are summed over the 2-D window in cache-sized blocks.
+    P = U^2 |v|^2 + 2 (m/c) U Re(v) + (m/c)^2 has rank 3 in (l, k), so
+    Re P and Im P come out of two small matrix products with real factors;
+    then w = (|P|^2)^(-s) and the slice is conj(sum P^n w).
+    """
+    if shifted and ball_mask:
+        raise ValueError("shifted slices are rectangular windows; the ball mask needs shifted=False")
     units, invs = unit_inverse_table(c)
     # d0 is the 1..c representative of -m a0^(-1) (mod c)
     d0 = (-m * invs) % c
     d0[d0 == 0] = c
+    a0 = units.astype(np.float64)[:, None]
+    dd = d0.astype(np.float64)[:, None]
     if ball_mask:
         # |a| = |-a0 + c k| <= K already bounds |k| by (K + c) / c
         kw = (K + c) // c + 1
+        k_off = l_off = 0.0
     else:
         kw = K
+        # center the windows on the points so integer shifts of z1, z2
+        # are exact reindexings of the truncated sum
+        k_off = np.round(z2.real + a0 / c)
+        l_off = np.round(-z1.real - dd / c)
     kk = np.arange(-kw, kw + 1, dtype=np.float64)
-    z2b = complex(np.conj(np.complex128(z2)))
+    U = c * ((z1 + dd / c + l_off) + kk)  # c z1 + d, axis 1 = l
+    v = (z2 + a0 / c - k_off) - kk  # z2 - a/c, axis 1 = k
+    X, Y = U.real, U.imag
+    v_re = v.real
+    v_abs2 = v_re**2 + v.imag**2
+    if shifted:
+        su = (X**2 + Y**2) ** (-2.0 * s)
+        if n:
+            su = np.conj(U) ** (2 * n) * su
+        sv = v_abs2 ** (n - 2.0 * s)
+        return complex(np.sum(np.sum(su, axis=1) * np.sum(sv, axis=1)))
+    h = m / c
+    # P = L @ R over (l, k): rows [X^2 - Y^2, 2hX, h^2] (Re) and
+    # [2XY, 2hY] (Im) against columns [|v|^2, Re v, 1]
+    right = np.stack([v_abs2, v_re, np.ones_like(v_re)], axis=1)
+    left_re = np.stack([X * X - Y * Y, 2.0 * h * X, np.full_like(X, h * h)], axis=2)
+    left_im = np.stack([2.0 * X * Y, 2.0 * h * Y], axis=2)
+    if ball_mask:
+        a = -a0 + c * kk  # axis 1 = k
+        d = dd + c * kk  # axis 1 = l
+    nk = kk.size
+    rows = max(1, _SLICE_BLOCK // nk**2)
+    l_step = max(1, _SLICE_BLOCK // nk)  # splits l only when one unit overfills a block
     total = []
-    max_rows = max(1, _BLOCK // max(1, kk.size**2))
-    for start in range(0, units.size, max_rows):
-        a0 = units[start : start + max_rows].astype(np.float64)[:, None]
-        dd = d0[start : start + max_rows].astype(np.float64)[:, None]
-        if ball_mask:
-            k_off = np.zeros_like(a0)
-            l_off = np.zeros_like(dd)
-        else:
-            # center the windows on the points so integer shifts of z1, z2
-            # are exact reindexings of the truncated sum
-            k_off = np.round(z2.real + a0 / c)
-            l_off = np.round(-z1.real - dd / c)
-        u = (z1 + dd / c + l_off) + kk[None, :]  # z1 + d/c, axis 1 = l
-        v = (z2 + a0 / c - k_off) - kk[None, :]  # z2 - a/c, axis 1 = k
-        vb = (z2b + a0 / c - k_off) - kk[None, :]
-        mu1 = c * u[:, :, None] * v[:, None, :]
-        mu2 = c * u[:, :, None] * vb[:, None, :]
-        if not shifted:
-            mu1 = mu1 + m / c
-            mu2 = mu2 + m / c
-        vals = term_fn(mu1, mu2)
-        if ball_mask:
-            a = -a0 + c * kk[None, :]  # axis 1 = k
-            d = dd + c * kk[None, :]  # axis 1 = l
-            b = (d[:, :, None] * a[:, None, :] - m) / c
-            mask = (
-                (np.abs(d) <= K)[:, :, None]
-                & (np.abs(a) <= K)[:, None, :]
-                & (np.abs(b) <= K)
-            )
-            vals = np.where(mask, vals, 0.0)
-        total.append(complex(np.sum(vals)))
+    for i in range(0, units.size, rows):
+        r = slice(i, i + rows)
+        for j in range(0, nk, l_step):
+            lw = slice(j, j + l_step)
+            re = left_re[r, lw] @ right[r]
+            im = left_im[r, lw] @ right[r, :2]
+            w = np.square(re)
+            w += np.square(im)
+            w **= -s
+            if ball_mask:
+                b = (d[r, lw, None] * a[r, None, :] - m) / c
+                mask = (np.abs(d[r, lw]) <= K)[:, :, None] & (np.abs(a[r]) <= K)[:, None, :] & (np.abs(b) <= K)
+                w = np.where(mask, w, 0.0)
+            if n == 0:
+                total.append(complex(np.sum(w)))
+                continue
+            pr, pi = re, im
+            for _ in range(n - 1):
+                pr, pi = pr * re - pi * im, pr * im + pi * re
+            pr *= w
+            pi *= w
+            total.append(complex(np.sum(pr), -np.sum(pi)))
     return tree_sum(total)

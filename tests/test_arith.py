@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heckekernel.arith import (
     divisor_count,
+    divisor_sieve,
     divisor_sigma,
     divisors,
     euler_phi,
@@ -63,6 +64,9 @@ class TestDivisors:
         assert divisor_count(1) == 1
         assert divisor_count(6) == len({1, 2, 3, 6}) == 4
         assert divisor_count(16) == len([d for d in range(1, 17) if 16 % d == 0]) == 5
+
+    def test_sieve_matches_count(self):
+        assert divisor_sieve(500).tolist() == [divisor_count(c) for c in range(1, 501)]
 
     def test_divisors_sorted(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]

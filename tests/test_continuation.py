@@ -222,6 +222,21 @@ class TestKloostermanZeta:
             majorant += divisor_count(c) * c ** (0.5 - p)
             assert partial <= majorant + 1e-12
 
+    def test_weil_tail_bit_identical_to_trial_division(self):
+        # the sieve-built running sums reproduce the plain left-to-right
+        # sum of d(c) c^(-p) exactly, whichever cutoff is asked for first
+        from heckekernel.arith import divisor_count
+        from heckekernel.continuation import _divisor_zeta_partials, _weil_zeta_tail
+
+        _divisor_zeta_partials.cache_clear()
+        for exponent in (2.5, 3.1, 4.0):
+            p = exponent - 0.5
+            full = abs(zeta_fn(p)) ** 2
+            for C in (400, 3000, 1200, 1):
+                partial = sum(divisor_count(c) * c ** (-p) for c in range(1, C + 1))
+                expected = math.sqrt(3) * max(full - partial, 0.0)
+                assert _weil_zeta_tail(3, exponent, C) == expected
+
     def test_tail_estimate_consistency(self):
         v1, t1 = kloosterman_zeta(1, 1, 2.0, C=2000)
         v2, _ = kloosterman_zeta(1, 1, 2.0, C=4000)

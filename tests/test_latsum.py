@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from heckekernel.latsum import (
     xic_direct,
     xic_slice,
 )
+from heckekernel.accumulate import tree_sum
+from heckekernel.arith import unit_inverse_table
+from heckekernel.continuation import shift_correction
 from heckekernel.identities import psi_residue_fit
 from heckekernel.modforms import delta_value
-from heckekernel.types import IntMatrix2, TruncationPolicy
+from heckekernel.types import FourierAssemblyConfig, IntMatrix2, TruncationPolicy
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -261,6 +265,107 @@ class TestXic:
             total += s0 * s2n
         total *= float(c) ** (2 * n - 4 * s)
         assert abs(slice_val - total) / abs(total) < 1e-5
+
+
+def _slice_reference(z1, z2, c, n, s, K, shifted=False, ball_mask=False, m=1):
+    """The generic 2-D window sum of xi_term_fn(n, s) over one c-slice:
+    the same (a0, k, l) windows as xic_slice, every term evaluated from
+    mu1 and mu2 separately (the unfactorized form of the kernel)."""
+    term_fn = xi_term_fn(n, s)
+    units, invs = unit_inverse_table(c)
+    d0 = (-m * invs) % c
+    d0[d0 == 0] = c
+    kw = (K + c) // c + 1 if ball_mask else K
+    kk = np.arange(-kw, kw + 1, dtype=np.float64)
+    z2b = z2.conjugate()
+    total = []
+    for a0, dd in zip(units.astype(np.float64), d0.astype(np.float64)):
+        k_off = 0.0 if ball_mask else np.round(z2.real + a0 / c)
+        l_off = 0.0 if ball_mask else np.round(-z1.real - dd / c)
+        u = (z1 + dd / c + l_off) + kk
+        v = (z2 + a0 / c - k_off) - kk
+        vb = (z2b + a0 / c - k_off) - kk
+        mu1 = c * u[:, None] * v[None, :]
+        mu2 = c * u[:, None] * vb[None, :]
+        if not shifted:
+            mu1 = mu1 + m / c
+            mu2 = mu2 + m / c
+        vals = term_fn(mu1, mu2)
+        if ball_mask:
+            a = -a0 + c * kk
+            d = dd + c * kk
+            b = (d[:, None] * a[None, :] - m) / c
+            mask = (np.abs(d) <= K)[:, None] & (np.abs(a) <= K)[None, :] & (np.abs(b) <= K)
+            vals = np.where(mask, vals, 0.0)
+        total.append(complex(np.sum(vals)))
+    return tree_sum(total)
+
+
+def _shift_correction_reference(z1, z2, n, s, cfg):
+    """shift_correction's value and estimate, built on _slice_reference."""
+
+    def diff(c, K):
+        return _slice_reference(z1, z2, c, n, s, K) - _slice_reference(z1, z2, c, n, s, K, shifted=True)
+
+    vals = [diff(c, cfg.corr_K) for c in range(1, cfg.corr_C + 1)]
+    half_K = max(8, cfg.corr_K // 2)
+    window = sum(abs(diff(c, half_K) - vals[c - 1]) for c in range(1, min(6, cfg.corr_C + 1)))
+    return tree_sum(vals), abs(vals[-1]) * cfg.corr_C / 2.0 + 2.0 * window
+
+
+class TestSliceKernel:
+    """xic_slice's closed-form shifted windows and fused true-term pass
+    against the generic window sum."""
+
+    PAIRS = ((Z1, Z2), (0.45 + 1.7j, 0.38 + 1.05j))
+
+    @pytest.mark.parametrize("mode", ["shifted", "true", "true_ball"])
+    @pytest.mark.parametrize("c", [1, 2, 3, 6, 7, 12])
+    def test_matches_reference(self, c, mode):
+        shifted, ball_mask = mode == "shifted", mode == "true_ball"
+        K = 30 if ball_mask else 12
+        for z1, z2 in self.PAIRS:
+            for n in (0, 1, 2):
+                for s in (1.0, 1.3, 1.75):
+                    for m in (1, 2):
+                        ref = _slice_reference(z1, z2, c, n, s, K, shifted, ball_mask, m)
+                        val = xic_slice(z1, z2, c, n, s, K, shifted=shifted, ball_mask=ball_mask, m=m)
+                        assert abs(val - ref) <= 1e-12 * abs(ref), (z1, z2, n, s, m)
+
+    def test_large_windows_split_into_blocks(self):
+        # one unit's 2-D window (241 x 241) overfills a block, so l is split
+        ref = _slice_reference(Z1, Z2, 5, 1, 1.3, 120)
+        assert abs(xic_slice(Z1, Z2, 5, 1, 1.3, 120) - ref) <= 1e-12 * abs(ref)
+        ref = _slice_reference(Z1, Z2, 1, 1, 1.3, 150, ball_mask=True)
+        val = xic_slice(Z1, Z2, 1, 1, 1.3, 150, ball_mask=True)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_shifted_window_is_linear_in_K(self):
+        # a (units x K x K) grid here would take 4 x 4001^2 x 16 B = 1 GB
+        tracemalloc.start()
+        try:
+            xic_slice(Z1, Z2, 5, 1, 1.3, 2000, shifted=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+    def test_shifted_ball_mask_rejected(self):
+        with pytest.raises(ValueError):
+            xic_slice(Z1, Z2, 3, 1, 1.3, 20, shifted=True, ball_mask=True)
+        with pytest.raises(ValueError):
+            xic_direct(Z1, Z2, 1, 1.3, TruncationPolicy(H=20, C=5, tol=1e-2),
+                       shifted=True, ball_mask=True)
+
+    @pytest.mark.parametrize("n,s", [(1, 1.0), (0, 1.3)])
+    def test_shift_correction_matches_reference(self, n, s):
+        cfg = FourierAssemblyConfig(corr_C=20, corr_K=24)
+        val, est = shift_correction(Z1, Z2, n, s, cfg)
+        ref, ref_est = _shift_correction_reference(Z1, Z2, n, s, cfg)
+        assert abs(val - ref) <= 1e-13
+        # the estimate is built from differences of O(1) slices, so its
+        # rounding floor is absolute (~1e-15); at n = 0 it is only ~3e-8
+        assert abs(est - ref_est) <= 1e-9 * ref_est + 1e-14
 
 
 class TestShiftedDoublePeriodicity:
