@@ -11,9 +11,7 @@ from .errors import (
     NotInvertible,
     PoleAt,
     PrecisionLoss,
-    QuadratureNotConverged,
     TailTooLarge,
-    Underflow,
     UsageError,
 )
 from .types import (
@@ -40,9 +38,7 @@ __all__ = [
     "PhiArgs",
     "PoleAt",
     "PrecisionLoss",
-    "QuadratureNotConverged",
     "TailTooLarge",
     "TruncationPolicy",
-    "Underflow",
     "UsageError",
 ]

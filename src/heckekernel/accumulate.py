@@ -12,8 +12,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-import numpy as np
-
 
 def tree_sum(values: Sequence[complex]) -> complex:
     """Pairwise reduction in a fixed order independent of how values were produced."""
@@ -58,8 +56,3 @@ def chunked_sum(n_chunks: int, chunk_fn: Callable[[int], complex], workers: int 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             vals = list(pool.map(chunk_fn, range(n_chunks)))
     return tree_sum(vals)
-
-
-def pairwise_array_sum(arr: np.ndarray) -> complex:
-    """Deterministic reduction of a numpy array (numpy's pairwise order)."""
-    return complex(np.sum(arr))

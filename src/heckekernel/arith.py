@@ -30,10 +30,6 @@ from .types import KloostermanParams
 _INT_TOL = 1e-9
 
 
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def euler_phi(c: int) -> int:
     """Euler totient phi(c) by trial-division factorization."""
     if c < 1:

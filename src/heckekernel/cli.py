@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run an identity checker")
     p_check.add_argument("name")
-    p_check.add_argument("--pairs", default="default")
     add_common(p_check)
 
     p_table = sub.add_parser("table", help="emit a value table")

@@ -1,6 +1,6 @@
 """Fourier-side evaluation and s-extrapolation of the lattice series.
 
-The c > 0 series with the m/c offset removed factors through the power
+The c > 0 series with the 1/c offset removed factors through the power
 sums S_n(z, 0, s); inserting their Fourier expansions gives closed forms
 for the four coefficient families:
 
@@ -300,7 +300,7 @@ def c_prefactor(n: int, s: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Correction for the removed m/c offset
+# Correction for the removed 1/c offset
 
 
 def shift_correction(z1: complex, z2: complex, n: int, s: float,
@@ -415,14 +415,12 @@ def neville_at(x0: float, xs: list[float], ys: list[complex]) -> complex:
     return table[0]
 
 
-def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
-                    samples: tuple = (1.2, 1.4, 1.6),
-                    policy: TruncationPolicy | None = None) -> EvalResult:
-    """Polynomial extrapolation of direct sums in s down to s_target.
+def _extrapolated(s_target: float, samples: tuple, evaluate, policy) -> EvalResult:
+    """Polynomial extrapolation of evaluate(s) over the samples to s_target.
 
-    Degree is capped at 4 (at most 5 samples are used); the error estimate
-    is the shift caused by dropping the farthest sample, plus the sample
-    evaluations' own estimates.
+    Needs at least 3 distinct samples in (1, 1.8]; the lowest 5 are used
+    (degree at most 4).  The error estimate is the shift caused by dropping
+    the farthest sample, plus the sample evaluations' own estimates.
     """
     samples = tuple(sorted(set(float(s) for s in samples)))
     if len(samples) < 3:
@@ -430,8 +428,7 @@ def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
     if any(s <= 1.0 or s > 1.8 for s in samples):
         raise ValueError("samples must lie in (1, 1.8]")
     samples = samples[:5]
-    policy = policy or TruncationPolicy()
-    evals = [xi_direct(z1, z2, n, s, policy) for s in samples]
+    evals = [evaluate(s) for s in samples]
     ys = [e.value for e in evals]
     full = neville_at(s_target, list(samples), ys)
     dropped = neville_at(s_target, list(samples[:-1]), ys[:-1])
@@ -439,20 +436,21 @@ def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
     return EvalResult(value=full, err_estimate=err, method="extrapolated", policy=policy)
 
 
+def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
+                    samples: tuple = (1.2, 1.4, 1.6),
+                    policy: TruncationPolicy | None = None) -> EvalResult:
+    """Polynomial extrapolation of direct sums in s down to s_target (see
+    _extrapolated for the sample rules and the error estimate)."""
+    policy = policy or TruncationPolicy()
+    return _extrapolated(s_target, samples, lambda s: xi_direct(z1, z2, n, s, policy), policy)
+
+
 def omega2(z1: complex, z2: complex, samples: tuple = (1.15, 1.25, 1.4, 1.6),
            policy: TruncationPolicy | None = None) -> EvalResult:
     """omega_2 = lim_{s -> 1} Omega_1(z1, conj z2, s); vanishes (it is a
     weight-2 cusp form), so the value doubles as a residual diagnostic."""
-    samples = tuple(sorted(set(float(s) for s in samples)))
-    if any(s <= 1.0 or s > 1.8 for s in samples):
-        raise ValueError("samples must lie in (1, 1.8]")
     policy = policy or TruncationPolicy(H=800)
-    evals = [omega_n_direct(z1, z2, 1, s, policy) for s in samples]
-    ys = [e.value for e in evals]
-    full = neville_at(1.0, list(samples), ys)
-    dropped = neville_at(1.0, list(samples[:-1]), ys[:-1])
-    err = abs(full - dropped) + sum(e.err_estimate for e in evals)
-    return EvalResult(value=full, err_estimate=err, method="extrapolated", policy=policy)
+    return _extrapolated(1.0, samples, lambda s: omega_n_direct(z1, z2, 1, s, policy), policy)
 
 
 XI_STAR_COMPLETION = 24.0

@@ -27,10 +27,6 @@ class PoleAt(HeckeKernelError):
         super().__init__(message or f"evaluation at a pole: {location!r}")
 
 
-class Underflow(HeckeKernelError):
-    """Result underflows to zero; carried as a flag where tolerated."""
-
-
 class TailTooLarge(HeckeKernelError):
     """A reported tail bound exceeds the requested tolerance."""
 
@@ -45,10 +41,6 @@ class NearDiagonal(HeckeKernelError):
 
 class AmbiguousNormalization(HeckeKernelError):
     """Zero or several normalization candidates satisfied an identity check."""
-
-
-class QuadratureNotConverged(HeckeKernelError):
-    """Grid refinement changed a quadrature value by more than its budget."""
 
 
 class UsageError(HeckeKernelError):

@@ -357,7 +357,7 @@ def psi_residue_fit(z1: complex, z2: complex, which: int = 1,
     for s in samples:
         fn = psi_term_fn(which, s)
         vals = [ball_sum(z1, z2, 1, h, fn).real for h in heights]
-        ext = _power_law_limit(list(heights), vals, 4.0 * s - 4.0, 2).real
+        ext = _power_law_limit(list(heights), vals, 4.0 * s - 4.0).real
         rvals.append((s - 1.0) * ext)
     x = np.array(samples) - 1.0
     A = np.vstack([np.ones_like(x), x, x**2]).T

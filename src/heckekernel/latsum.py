@@ -122,90 +122,58 @@ def psi_term_fn(which: int, s: float) -> TermFn:
     return fn
 
 
-def _c_zero_value(z1: complex, z2: complex, m: int, H: int, term_fn: TermFn) -> complex:
-    """Sum over c = 0 matrices in the ball (with their negations)."""
-    b = np.arange(-H, H + 1, dtype=np.float64)
-    total = 0j
-    for a in range(1, H + 1):
-        if m % a:
-            continue
-        d = m // a
-        if d < 1 or d > H:
-            continue
-        # mu for (a, b; 0, d): d w - a z1 - b; the pair (-a, -b; 0, -d)
-        # contributes equally, hence the factor 2
-        mu1 = d * z2 - a * z1 - b
-        mu2 = d * np.conj(z2) - a * z1 - b
-        total += 2.0 * complex(np.sum(term_fn(mu1, mu2)))
-    return total
+def _chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: TermFn) -> complex:
+    """Sum over det-m matrices with this c >= 0 in the ball (with their negations).
 
-
-def _coprime_chunk_value(z1: complex, z2: complex, c: int, H: int, term_fn: TermFn) -> complex:
-    """Sum over det-1 matrices with this c > 0 (and their negations).
-
-    Vectorized over the whole slice: every a in [-H, H] coprime to c,
-    d = a^(-1) mod c + c t, masked to the height ball.
+    For c > 0 the matrices are grouped by g = gcd(a, c), which must divide
+    m: a = g a' with a' a unit mod c/g, and a d = m (mod c) forces
+    d = d0 + (c/g) t with d0 = (m/g) a'^(-1) (mod c/g).  Each group is
+    vectorized over (a', t) and masked to the height ball.
     """
     z2b = complex(np.conj(np.complex128(z2)))
-    a_all = np.arange(-H, H + 1, dtype=np.int64)
-    res = a_all % c
-    keep = np.gcd(res, c) == 1
-    a_all = a_all[keep]
-    if a_all.size == 0:
-        return 0j
-    units, invs = unit_inverse_table(c)
-    inv_of = np.zeros(c, dtype=np.int64)
-    inv_of[units % c] = invs
-    d0 = inv_of[a_all % c]  # representative in 1..c of a^(-1) mod c
-    t_lo = -((H + c) // c)
-    t_hi = (H - 1) // c
-    t = np.arange(t_lo, t_hi + 1, dtype=np.int64)
+    if c == 0:
+        b = np.arange(-H, H + 1, dtype=np.float64)
+        total = 0j
+        for a in range(1, H + 1):
+            if m % a:
+                continue
+            d = m // a
+            if d > H:
+                continue
+            # mu for (a, b; 0, d): d w - a z1 - b; the pair (-a, -b; 0, -d)
+            # contributes equally, hence the factor 2
+            mu1 = d * z2 - a * z1 - b
+            mu2 = d * z2b - a * z1 - b
+            total += 2.0 * complex(np.sum(term_fn(mu1, mu2)))
+        return total
     vals = []
-    max_rows = max(1, _BLOCK // max(1, t.size))
-    for start in range(0, a_all.size, max_rows):
-        a = a_all[start : start + max_rows, None].astype(np.float64)
-        d = (d0[start : start + max_rows, None] + c * t[None, :]).astype(np.float64)
-        b = (a * d - 1.0) / c
-        mask = (np.abs(d) <= H) & (np.abs(b) <= H)
-        if not mask.any():
-            continue
-        a_m = np.broadcast_to(a, mask.shape)[mask]
-        d_m = d[mask]
-        b_m = b[mask]
-        mu1 = c * z1 * z2 + d_m * z2 - a_m * z1 - b_m
-        mu2 = c * z1 * z2b + d_m * z2b - a_m * z1 - b_m
-        vals.append(2.0 * complex(np.sum(term_fn(mu1, mu2))))
-    return tree_sum(vals)
-
-
-def _general_chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: TermFn) -> complex:
-    """Slice sum for general determinant m (slower residue-by-residue path)."""
-    z2b = complex(np.conj(np.complex128(z2)))
-    vals = []
-    for rho in range(1, c + 1):
-        g = math.gcd(rho, c)
-        if m % g:
+    for g in range(1, math.gcd(c, m) + 1):
+        if c % g or m % g:
             continue
         cg = c // g
-        a_vals = np.arange(rho - c * ((rho + H) // c), H + 1, c, dtype=np.float64)
-        if cg == 1:
-            d_vals = np.arange(-H, H + 1, dtype=np.float64)
-        else:
-            inv = pow((rho // g) % cg if g > 1 else rho % cg, -1, cg)
-            d0 = ((m // g) * inv) % cg
-            d_vals = np.arange(d0 - cg * ((d0 + H) // cg), H + 1, cg, dtype=np.float64)
-        if a_vals.size == 0 or d_vals.size == 0:
-            continue
-        max_rows = max(1, _BLOCK // d_vals.size)
-        for start in range(0, a_vals.size, max_rows):
-            a = a_vals[start : start + max_rows, None]
-            d = d_vals[None, :]
-            b = (a * d - m) / c  # integral: rho d0 = m (mod c) by construction
-            mask = np.abs(b) <= H
+        a_all = np.arange(-(H // g), H // g + 1, dtype=np.int64)  # a' = a / g
+        keep = np.gcd(a_all % cg, cg) == 1
+        a_all = a_all[keep]
+        units, invs = unit_inverse_table(cg)
+        if m != g:  # for m = g the inverses already are the d0 residues
+            invs = ((m // g) * invs - 1) % cg + 1
+        inv_of = np.zeros(cg, dtype=np.int64)
+        inv_of[units % cg] = invs
+        d0 = inv_of[a_all % cg]  # representative in 1..c/g of (m/g) a'^(-1)
+        a_all *= g  # back to a
+        t_lo = -((H + cg) // cg)
+        t_hi = (H - 1) // cg
+        t = np.arange(t_lo, t_hi + 1, dtype=np.int64)
+        max_rows = max(1, _BLOCK // t.size)
+        for start in range(0, a_all.size, max_rows):
+            a = a_all[start : start + max_rows, None].astype(np.float64)
+            d = (d0[start : start + max_rows, None] + cg * t[None, :]).astype(np.float64)
+            b = (a * d - m) / c
+            mask = (np.abs(d) <= H) & (np.abs(b) <= H)
             if not mask.any():
                 continue
             a_m = np.broadcast_to(a, mask.shape)[mask]
-            d_m = np.broadcast_to(d, mask.shape)[mask]
+            d_m = d[mask]
             b_m = b[mask]
             mu1 = c * z1 * z2 + d_m * z2 - a_m * z1 - b_m
             mu2 = c * z1 * z2b + d_m * z2b - a_m * z1 - b_m
@@ -213,19 +181,15 @@ def _general_chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_
     return tree_sum(vals)
 
 
-def _c_chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: TermFn) -> complex:
-    if m == 1:
-        return _coprime_chunk_value(z1, z2, c, H, term_fn)
-    return _general_chunk_value(z1, z2, m, c, H, term_fn)
-
-
 def ball_sum(z1: complex, z2: complex, m: int, H: int, term_fn: TermFn, workers: int = 1) -> complex:
-    """Sum term_fn(mu1, mu2) over all det-m matrices with height <= H."""
+    """Sum term_fn(mu1, mu2) over all det-m matrices with height <= H.
+
+    One chunk per c in 0..H (see _chunk_value), combined along the fixed
+    reduction tree of chunked_sum, so the value does not depend on workers.
+    """
 
     def chunk(c: int) -> complex:
-        if c == 0:
-            return _c_zero_value(z1, z2, m, H, term_fn)
-        return _c_chunk_value(z1, z2, m, c, H, term_fn)
+        return _chunk_value(z1, z2, m, c, H, term_fn)
 
     return chunked_sum(H + 1, chunk, workers=workers)
 
@@ -262,13 +226,13 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
         return fit, err
     heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
     vals = [ball_sum(z1, z2, m, h, term_fn, policy.workers) for h in heights]
-    extr3 = _power_law_limit(heights, vals, decay, 2)
-    extr2 = _power_law_limit(heights[1:], vals[1:], decay, 1)
+    extr3 = _power_law_limit(heights, vals, decay)
+    extr2 = _power_law_limit(heights[1:], vals[1:], decay)
     err = abs(extr3 - extr2) + 1e-3 * abs(extr3 - vals[-1])
     return extr3, err
 
 
-def _power_law_limit(heights, vals, p: float, n_corrections: int):
+def _power_law_limit(heights, vals, p: float):
     """Solve S(h) = S + sum_j alpha_j h^(-p-j) for S (exact linear solve)."""
     k = len(heights)
     A = np.empty((k, k), dtype=np.float64)
@@ -300,49 +264,49 @@ def _converged_result(value, err, policy, tol, warnings=()) -> EvalResult:
     return EvalResult(value=value, err_estimate=err, method="direct", policy=policy, warnings=warnings)
 
 
+def _direct_result(z1: complex, z2: complex, policy: TruncationPolicy | None, term_fn: TermFn,
+                   decay: float, m: int = 1, s: float | None = None,
+                   abscissa: float = 0.0) -> EvalResult:
+    """Refined height-ball sum of term_fn over det-m matrices, shared by the
+    direct evaluators.
+
+    decay is the power of H in the truncation error.  A series in s that
+    converges absolutely for s > abscissa carries the NotAbsolutelyConvergent
+    warning when s <= abscissa + _MARGIN.
+    """
+    z1 = upper_half(z1, "z1")
+    z2 = upper_half(z2, "z2")
+    z1, z2 = _normalize_pair(z1, z2)
+    policy = policy or TruncationPolicy()
+    warnings = ()
+    if s is not None and s <= abscissa + _MARGIN:
+        warnings = ("NotAbsolutelyConvergent",)
+    value, err = _refined_ball_value(z1, z2, m, policy, term_fn, decay)
+    return _converged_result(value, err, policy, policy.tol, warnings)
+
+
 def omega_direct(z1: complex, z2: complex, k: int, m: int = 1,
                  policy: TruncationPolicy | None = None) -> EvalResult:
     """omega_m(z1, conj(z2), k) = sum over det-m matrices of mu2^(-k)."""
-    z1 = upper_half(z1, "z1")
-    z2 = upper_half(z2, "z2")
     if k < 4 or k % 2:
         raise ValueError("k must be an even integer >= 4")
-    z1, z2 = _normalize_pair(z1, z2)
-    policy = policy or TruncationPolicy()
-    value, err = _refined_ball_value(z1, z2, m, policy, omega_term_fn(k), decay=k - 2.0)
-    return _converged_result(value, err, policy, policy.tol)
+    return _direct_result(z1, z2, policy, omega_term_fn(k), k - 2.0, m=m)
 
 
 def xi_direct(z1: complex, z2: complex, n: int, s: float,
               policy: TruncationPolicy | None = None) -> EvalResult:
     """Direct truncated Xi_n(z1, z2, s) over the height ball."""
-    z1 = upper_half(z1, "z1")
-    z2 = upper_half(z2, "z2")
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    z1, z2 = _normalize_pair(z1, z2)
-    policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= (n + 1) / 2.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
-    decay = 4.0 * s - 2.0 * n - 2.0
-    value, err = _refined_ball_value(z1, z2, 1, policy, xi_term_fn(n, s), decay=decay)
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return _direct_result(z1, z2, policy, xi_term_fn(n, s), 4.0 * s - 2.0 * n - 2.0,
+                          s=s, abscissa=(n + 1) / 2.0)
 
 
 def omega_n_direct(z1: complex, z2: complex, n: int, s: float,
                    policy: TruncationPolicy | None = None) -> EvalResult:
     """Omega_n(z1, conj(z2), s), the weight-2 regularization family."""
-    z1 = upper_half(z1, "z1")
-    z2 = upper_half(z2, "z2")
-    z1, z2 = _normalize_pair(z1, z2)
-    policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= 1.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
-    decay = 4.0 * s - 2.0 * n - 2.0
-    value, err = _refined_ball_value(z1, z2, 1, policy, omega_n_term_fn(n, s), decay=decay)
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return _direct_result(z1, z2, policy, omega_n_term_fn(n, s), 4.0 * s - 2.0 * n - 2.0,
+                          s=s, abscissa=1.0)
 
 
 def psi_direct(which: int, z1: complex, z2: complex, s: float,
@@ -350,16 +314,7 @@ def psi_direct(which: int, z1: complex, z2: complex, s: float,
     """Psi^1 or Psi^2, the positive auxiliary sums (simple pole at s = 1)."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    z1 = upper_half(z1, "z1")
-    z2 = upper_half(z2, "z2")
-    z1, z2 = _normalize_pair(z1, z2)
-    policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= 1.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
-    decay = 4.0 * s - 4.0
-    value, err = _refined_ball_value(z1, z2, 1, policy, psi_term_fn(which, s), decay=decay)
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return _direct_result(z1, z2, policy, psi_term_fn(which, s), 4.0 * s - 4.0, s=s, abscissa=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +460,7 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
 
     Unshifted sums the true kernel terms and defaults to the height-ball
     mask (so xi0 + 2 xic reproduces xi_direct at matched cutoffs);
-    shifted drops the m/c offset of both kernels (the series whose Fourier
+    shifted drops the 1/c offset of both kernels (the series whose Fourier
     expansion is assembled in closed form) and is summed in its exactly
     factorized form, so it only exists on plain rectangular windows:
     shifted with ball_mask=True raises ValueError.
@@ -531,18 +486,18 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
 
 
 def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
-              shifted: bool = False, ball_mask: bool = False, m: int = 1) -> complex:
-    """One c-slice of the c > 0 Xi_n sum over the (a0, k, l) parametrization
-    a = -a0 + c k, d = d0 + c l with a0 d0 = -m (mod c).
+              shifted: bool = False, ball_mask: bool = False) -> complex:
+    """One c-slice of the c > 0 Xi_n sum (determinant 1) over the (a0, k, l)
+    parametrization a = -a0 + c k, d = d0 + c l with a0 d0 = -1 (mod c).
 
-    With U = c z1 + d and v = z2 - a/c the kernels are mu1 = U v + m/c and
-    mu2 = U conj(v) + m/c (a/c is real), and the Xi_n term is
+    With U = c z1 + d, v = z2 - a/c and h = 1/c the kernels are
+    mu1 = U v + h and mu2 = U conj(v) + h (a/c is real), and the Xi_n term is
     conj(P)^n |P|^(-2s) with P = mu1 mu2.  The window is |k|, |l| <= K,
     centred on the points so that integer shifts of z1, z2 reindex it
     exactly; with ball_mask it is instead the part of the height ball
     max(|a|, |b|, |d|) <= K in this slice.
 
-    shifted drops the m/c offset, so P = U^2 |v|^2 and the window sum
+    shifted drops the offset h, so P = U^2 |v|^2 and the window sum
     factorizes exactly:
 
         sum_a0 [sum_l conj(U)^(2n) |U|^(-4s)] [sum_k |v|^(2n-4s)],
@@ -551,15 +506,15 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     shifted=True with ball_mask=True raises ValueError.
 
     The true terms are summed over the 2-D window in cache-sized blocks.
-    P = U^2 |v|^2 + 2 (m/c) U Re(v) + (m/c)^2 has rank 3 in (l, k), so
+    P = U^2 |v|^2 + 2 h U Re(v) + h^2 has rank 3 in (l, k), so
     Re P and Im P come out of two small matrix products with real factors;
     then w = (|P|^2)^(-s) and the slice is conj(sum P^n w).
     """
     if shifted and ball_mask:
         raise ValueError("shifted slices are rectangular windows; the ball mask needs shifted=False")
     units, invs = unit_inverse_table(c)
-    # d0 is the 1..c representative of -m a0^(-1) (mod c)
-    d0 = (-m * invs) % c
+    # d0 is the 1..c representative of -a0^(-1) (mod c)
+    d0 = (-invs) % c
     d0[d0 == 0] = c
     a0 = units.astype(np.float64)[:, None]
     dd = d0.astype(np.float64)[:, None]
@@ -585,7 +540,7 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
             su = np.conj(U) ** (2 * n) * su
         sv = v_abs2 ** (n - 2.0 * s)
         return complex(np.sum(np.sum(su, axis=1) * np.sum(sv, axis=1)))
-    h = m / c
+    h = 1 / c
     # P = L @ R over (l, k): rows [X^2 - Y^2, 2hX, h^2] (Re) and
     # [2XY, 2hY] (Im) against columns [|v|^2, Re v, 1]
     right = np.stack([v_abs2, v_re, np.ones_like(v_re)], axis=1)
@@ -608,7 +563,7 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
             w += np.square(im)
             w **= -s
             if ball_mask:
-                b = (d[r, lw, None] * a[r, None, :] - m) / c
+                b = (d[r, lw, None] * a[r, None, :] - 1) / c
                 mask = (np.abs(d[r, lw]) <= K)[:, :, None] & (np.abs(a[r]) <= K)[:, None, :] & (np.abs(b) <= K)
                 w = np.where(mask, w, 0.0)
             if n == 0:

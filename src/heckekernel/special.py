@@ -91,11 +91,6 @@ def rgamma(s: complex) -> complex:
     return 1.0 / gamma_fn(s)
 
 
-def log_gamma_real(x: float) -> float:
-    """log Gamma(x) for x > 0 (for overflow-safe ratios)."""
-    return math.lgamma(x)
-
-
 def zeta_fn(s: complex, n_direct: int = 80, n_bernoulli: int = 10) -> complex:
     """Riemann zeta by Euler-Maclaurin; accurate to ~1e-12 for Re(s) > 1/2."""
     s = complex(s)

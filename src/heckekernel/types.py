@@ -7,8 +7,7 @@ validates them at API boundaries instead of wrapping them in a class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, field
 
 
 def upper_half(z: complex, name: str = "z") -> complex:
@@ -116,14 +115,6 @@ class TruncationPolicy:
         if self.refine not in ("richardson", "lsq", "none"):
             raise ValueError(f"unknown refine mode {self.refine!r}")
 
-    def scaled(self, factor: float) -> "TruncationPolicy":
-        return replace(
-            self,
-            H=max(1, int(self.H * factor)),
-            B=max(1, int(self.B * factor)),
-            C=max(1, int(self.C * factor)),
-        )
-
 
 @dataclass(frozen=True)
 class FourierAssemblyConfig:
@@ -213,8 +204,3 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(", ", ": "))
-
-
-def max_residual(residuals: Iterable[float]) -> float:
-    vals = list(residuals)
-    return max(vals) if vals else float("inf")

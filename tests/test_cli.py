@@ -119,6 +119,10 @@ class TestCheck:
         assert code == 2
         assert "unknown check" in err
 
+    def test_pairs_flag_removed(self, capsys):
+        code, _, _ = run_cli(capsys, "check", "dirichlet", "--pairs", "x")
+        assert code == 2
+
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(capsys, "check", "weil")
         assert code == 0

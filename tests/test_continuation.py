@@ -319,6 +319,13 @@ class TestExtrapolation:
             xi_extrapolated(Z1, Z2, samples=(1.2, 1.4))
         with pytest.raises(ValueError):
             xi_extrapolated(Z1, Z2, samples=(0.9, 1.2, 1.4))
+        # omega2 shares the sample rules
+        with pytest.raises(ValueError):
+            omega2(Z1, Z2, samples=(1.3,))
+        with pytest.raises(ValueError):
+            omega2(Z1, Z2, samples=(1.2, 1.3, 1.3))
+        with pytest.raises(ValueError):
+            omega2(Z1, Z2, samples=(1.2, 1.4, 1.9))
 
 
 class TestXiStar:
