@@ -50,15 +50,7 @@ def euler_phi(c: int) -> int:
 
 def divisor_count(n: int) -> int:
     """d(n): number of positive divisors."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    count = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            count += 1 if i * i == n else 2
-        i += 1
-    return count
+    return len(divisors(n))
 
 
 def divisor_sieve(C: int) -> np.ndarray:

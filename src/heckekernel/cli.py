@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import arith, continuation, identities, latsum, modforms
 from .errors import HeckeKernelError, UsageError
 from .types import (
@@ -365,9 +367,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except HeckeKernelError as exc:
+    except (HeckeKernelError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # argument values the evaluators reject (LinAlgError, a numerical
+        # failure, is a ValueError too and is caught above)
+        print(f"usage error: {exc}", file=sys.stderr)
+        parser.print_usage(sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ mu2 = mu(gamma, z1, conj(z2)).  For c != 0 it factors as
 
 Sums over the height ball max(|a|,|b|,|c|,|d|) <= H are organised as one
 chunk per |c| value; each chunk is evaluated with numpy and the chunk
-values are combined along a fixed-shape tree, making results independent
-of the worker count.  Every series here pairs gamma with -gamma at equal
+values are combined along a fixed-shape tree, so a value depends only on
+its inputs and cutoffs.  Every series here pairs gamma with -gamma at equal
 term value (all integrands have even total degree), so only c >= 0 is
 enumerated and c > 0 chunks carry weight 2.
 """
@@ -181,17 +181,17 @@ def _chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: Term
     return tree_sum(vals)
 
 
-def ball_sum(z1: complex, z2: complex, m: int, H: int, term_fn: TermFn, workers: int = 1) -> complex:
+def ball_sum(z1: complex, z2: complex, m: int, H: int, term_fn: TermFn) -> complex:
     """Sum term_fn(mu1, mu2) over all det-m matrices with height <= H.
 
     One chunk per c in 0..H (see _chunk_value), combined along the fixed
-    reduction tree of chunked_sum, so the value does not depend on workers.
+    reduction tree of chunked_sum.
     """
 
     def chunk(c: int) -> complex:
         return _chunk_value(z1, z2, m, c, H, term_fn)
 
-    return chunked_sum(H + 1, chunk, workers=workers)
+    return chunked_sum(H + 1, chunk)
 
 
 def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
@@ -205,15 +205,15 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
     """
     H = policy.H
     if policy.refine == "none" or decay >= 3.0:
-        v_half = ball_sum(z1, z2, m, max(8, H // 2), term_fn, policy.workers)
-        v_full = ball_sum(z1, z2, m, H, term_fn, policy.workers)
+        v_half = ball_sum(z1, z2, m, max(8, H // 2), term_fn)
+        v_full = ball_sum(z1, z2, m, H, term_fn)
         err = abs(v_full - v_half)
         return v_full, err
     if policy.refine == "lsq":
         # least-squares fit over six geometric heights; averages out the
         # oscillatory subleading structure of the sharp height cut
         heights = [max(8, int(H * (1.0 / 2.5) ** (1 - i / 5.0))) for i in range(6)]
-        vals = [ball_sum(z1, z2, m, h, term_fn, policy.workers) for h in heights]
+        vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
         A = np.vstack(
             [np.ones(len(heights)),
              [h ** (-decay) for h in heights],
@@ -225,7 +225,7 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
         err = abs(fit - complex(drop[0])) + 1e-3 * abs(fit - vals[-1])
         return fit, err
     heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
-    vals = [ball_sum(z1, z2, m, h, term_fn, policy.workers) for h in heights]
+    vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
     extr3 = _power_law_limit(heights, vals, decay)
     extr2 = _power_law_limit(heights[1:], vals[1:], decay)
     err = abs(extr3 - extr2) + 1e-3 * abs(extr3 - vals[-1])
@@ -271,14 +271,16 @@ def _direct_result(z1: complex, z2: complex, policy: TruncationPolicy | None, te
     direct evaluators.
 
     decay is the power of H in the truncation error.  A series in s that
-    converges absolutely for s > abscissa carries the NotAbsolutelyConvergent
-    warning when s <= abscissa + _MARGIN.
+    converges only for s > abscissa raises ValueError for s <= abscissa and
+    carries the NotAbsolutelyConvergent warning when s <= abscissa + _MARGIN.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     z1, z2 = _normalize_pair(z1, z2)
     policy = policy or TruncationPolicy()
     warnings = ()
+    if s is not None and s <= abscissa:
+        raise ValueError(f"the direct sum converges only for s > {abscissa}, got s = {s}")
     if s is not None and s <= abscissa + _MARGIN:
         warnings = ("NotAbsolutelyConvergent",)
     value, err = _refined_ball_value(z1, z2, m, policy, term_fn, decay)
@@ -306,7 +308,7 @@ def omega_n_direct(z1: complex, z2: complex, n: int, s: float,
                    policy: TruncationPolicy | None = None) -> EvalResult:
     """Omega_n(z1, conj(z2), s), the weight-2 regularization family."""
     return _direct_result(z1, z2, policy, omega_n_term_fn(n, s), 4.0 * s - 2.0 * n - 2.0,
-                          s=s, abscissa=1.0)
+                          s=s, abscissa=(n + 1) / 2.0)
 
 
 def psi_direct(which: int, z1: complex, z2: complex, s: float,
@@ -454,39 +456,35 @@ def _xi0_tail(z1: complex, z2: complex, n: int, s: float, B: int) -> tuple[compl
 
 
 def xic_direct(z1: complex, z2: complex, n: int, s: float,
-               policy: TruncationPolicy | None = None, shifted: bool = False,
-               ball_mask: bool | None = None) -> EvalResult:
-    """The c > 0 part, c-sliced over (a0, k, l) windows (see xic_slice).
+               policy: TruncationPolicy | None = None, shifted: bool = False) -> EvalResult:
+    """The c > 0 part of Xi_n, one c at a time for c = 1..C.
 
-    Unshifted sums the true kernel terms and defaults to the height-ball
-    mask (so xi0 + 2 xic reproduces xi_direct at matched cutoffs);
-    shifted drops the 1/c offset of both kernels (the series whose Fourier
-    expansion is assembled in closed form) and is summed in its exactly
-    factorized form, so it only exists on plain rectangular windows:
-    shifted with ball_mask=True raises ValueError.
+    Unshifted sums the true terms over the height ball with xi_direct's
+    chunk kernel, halved (xi_direct pairs c with -c), so xi0 + 2 xic
+    reproduces xi_direct at matched cutoffs; C is capped at H.  Shifted
+    drops the 1/c offset of both kernels (the series whose Fourier
+    expansion is assembled in closed form) and sums xic_slice's
+    rectangular |k|, |l| <= H windows.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
-    if ball_mask is None:
-        ball_mask = not shifted
     warnings = ()
     if s <= (n + 1) / 2.0 + _MARGIN:
         warnings = ("NotAbsolutelyConvergent",)
-    C = min(policy.C, policy.H) if ball_mask else policy.C
-
-    def chunk(idx: int) -> complex:
-        c = idx + 1
-        return xic_slice(z1, z2, c, n, s, policy.H, shifted=shifted, ball_mask=ball_mask)
-
-    value = chunked_sum(C, chunk, workers=policy.workers)
-    last = xic_slice(z1, z2, C, n, s, policy.H, shifted=shifted, ball_mask=ball_mask)
-    err = abs(last) * C / 2.0 + policy.tol * 1e-3
+    if shifted:
+        vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, policy.C + 1)]
+    else:
+        term_fn = xi_term_fn(n, s)
+        vals = [_chunk_value(z1, z2, 1, c, policy.H, term_fn) / 2.0
+                for c in range(1, min(policy.C, policy.H) + 1)]
+    value = tree_sum(vals)
+    err = abs(vals[-1]) * len(vals) / 2.0 + policy.tol * 1e-3
     return _converged_result(value, err, policy, policy.tol, warnings)
 
 
 def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
-              shifted: bool = False, ball_mask: bool = False) -> complex:
+              shifted: bool = False) -> complex:
     """One c-slice of the c > 0 Xi_n sum (determinant 1) over the (a0, k, l)
     parametrization a = -a0 + c k, d = d0 + c l with a0 d0 = -1 (mod c).
 
@@ -494,41 +492,31 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     mu1 = U v + h and mu2 = U conj(v) + h (a/c is real), and the Xi_n term is
     conj(P)^n |P|^(-2s) with P = mu1 mu2.  The window is |k|, |l| <= K,
     centred on the points so that integer shifts of z1, z2 reindex it
-    exactly; with ball_mask it is instead the part of the height ball
-    max(|a|, |b|, |d|) <= K in this slice.
+    exactly.
 
     shifted drops the offset h, so P = U^2 |v|^2 and the window sum
     factorizes exactly:
 
         sum_a0 [sum_l conj(U)^(2n) |U|^(-4s)] [sum_k |v|^(2n-4s)],
 
-    at O(phi(c) K) cost.  The ball mask couples k and l through b, so
-    shifted=True with ball_mask=True raises ValueError.
+    at O(phi(c) K) cost.
 
     The true terms are summed over the 2-D window in cache-sized blocks.
     P = U^2 |v|^2 + 2 h U Re(v) + h^2 has rank 3 in (l, k), so
     Re P and Im P come out of two small matrix products with real factors;
     then w = (|P|^2)^(-s) and the slice is conj(sum P^n w).
     """
-    if shifted and ball_mask:
-        raise ValueError("shifted slices are rectangular windows; the ball mask needs shifted=False")
     units, invs = unit_inverse_table(c)
     # d0 is the 1..c representative of -a0^(-1) (mod c)
     d0 = (-invs) % c
     d0[d0 == 0] = c
     a0 = units.astype(np.float64)[:, None]
     dd = d0.astype(np.float64)[:, None]
-    if ball_mask:
-        # |a| = |-a0 + c k| <= K already bounds |k| by (K + c) / c
-        kw = (K + c) // c + 1
-        k_off = l_off = 0.0
-    else:
-        kw = K
-        # center the windows on the points so integer shifts of z1, z2
-        # are exact reindexings of the truncated sum
-        k_off = np.round(z2.real + a0 / c)
-        l_off = np.round(-z1.real - dd / c)
-    kk = np.arange(-kw, kw + 1, dtype=np.float64)
+    # center the windows on the points so integer shifts of z1, z2
+    # are exact reindexings of the truncated sum
+    k_off = np.round(z2.real + a0 / c)
+    l_off = np.round(-z1.real - dd / c)
+    kk = np.arange(-K, K + 1, dtype=np.float64)
     U = c * ((z1 + dd / c + l_off) + kk)  # c z1 + d, axis 1 = l
     v = (z2 + a0 / c - k_off) - kk  # z2 - a/c, axis 1 = k
     X, Y = U.real, U.imag
@@ -546,9 +534,6 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     right = np.stack([v_abs2, v_re, np.ones_like(v_re)], axis=1)
     left_re = np.stack([X * X - Y * Y, 2.0 * h * X, np.full_like(X, h * h)], axis=2)
     left_im = np.stack([2.0 * X * Y, 2.0 * h * Y], axis=2)
-    if ball_mask:
-        a = -a0 + c * kk  # axis 1 = k
-        d = dd + c * kk  # axis 1 = l
     nk = kk.size
     rows = max(1, _SLICE_BLOCK // nk**2)
     l_step = max(1, _SLICE_BLOCK // nk)  # splits l only when one unit overfills a block
@@ -562,10 +547,6 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
             w = np.square(re)
             w += np.square(im)
             w **= -s
-            if ball_mask:
-                b = (d[r, lw, None] * a[r, None, :] - 1) / c
-                mask = (np.abs(d[r, lw]) <= K)[:, :, None] & (np.abs(a[r]) <= K)[:, None, :] & (np.abs(b) <= K)
-                w = np.where(mask, w, 0.0)
             if n == 0:
                 total.append(complex(np.sum(w)))
                 continue

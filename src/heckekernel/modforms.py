@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import divisors
 from .errors import NearDiagonal, TailTooLarge
 from .types import EvalResult, upper_half
 
@@ -99,16 +100,8 @@ class QSeries:
 
 
 def _sigma_int(n: int, k: int) -> int:
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i**k
-            j = n // i
-            if j != i:
-                total += j**k
-        i += 1
-    return total
+    """sigma_k(n) as an exact integer."""
+    return sum(d**k for d in divisors(n))
 
 
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:

@@ -136,13 +136,14 @@ _BESSEL_H = 0.125
 _EXP_FLOOR = 746.0  # exp(-746) underflows double precision
 
 
-def bessel_k_with_flag(lam: float, x: float) -> tuple[float, bool]:
-    """(K_lam(x), underflow_flag); value 0.0 with flag set when x > 700."""
+def bessel_k(lam: float, x: float) -> float:
+    """MacDonald function K_lam(x) for real order and x > 0 (0.0 for x > 700,
+    where it underflows)."""
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
     lam = abs(float(lam))  # K_{-lam} = K_lam
     if x > 700.0:
-        return 0.0, True
+        return 0.0
     # K_lam(x) = int_0^inf exp(-x cosh u) cosh(lam u) du; trapezoid in u.
     # The integrand decays like exp(-x e^u / 2): choose the cutoff where
     # the exponent clears the double-precision floor with margin.
@@ -156,13 +157,7 @@ def bessel_k_with_flag(lam: float, x: float) -> tuple[float, bool]:
         if e < -_EXP_FLOOR:
             break
         total += math.exp(e) * math.cosh(lam * u)
-    return total * h, False
-
-
-def bessel_k(lam: float, x: float) -> float:
-    """MacDonald function K_lam(x) for real order and x > 0."""
-    value, _ = bessel_k_with_flag(lam, x)
-    return value
+    return total * h
 
 
 @functools.lru_cache(maxsize=256)

@@ -90,7 +90,8 @@ class TruncationPolicy:
     C      c-cutoff for Kloosterman-zeta / correction sums,
     R      Fourier index cutoff,
     tol    requested tolerance (in (0, 1e-2]),
-    workers  parallel chunk workers (results are worker-count independent),
+    workers  validated and echoed in the JSON policy; evaluation is serial,
+             so it changes no value and no timing,
     refine   tail handling for slowly decaying matrix sums:
              "richardson" (3-point power-law extrapolation in the height),
              "lsq" (least-squares power-law fit over six heights), or
@@ -128,7 +129,9 @@ class FourierAssemblyConfig:
     corr_K      lattice window of the correction series,
     pairing     "derived" uses K(r, -r'; c) with phases (r, Re z2),
                 (r', Re z1); "printed" is the alternative convention kept
-                for the overlap experiment that rejects it.
+                for the overlap experiment that rejects it,
+    workers     validated and echoed in the JSON policy, like
+                TruncationPolicy.workers.
     """
 
     R: int = 8
@@ -146,6 +149,8 @@ class FourierAssemblyConfig:
             raise ValueError("C must be >= 16")
         if self.corr_C < 1 or self.corr_K < 1:
             raise ValueError("correction cutoffs must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.pairing not in ("derived", "printed"):
             raise ValueError(f"unknown pairing {self.pairing!r}")
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from heckekernel import latsum
 from heckekernel.cli import main, parse_complex
 
 
@@ -87,6 +89,41 @@ class TestEval:
             capsys, "eval", "omega-n", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
             "--n", "1", "--s", "1.05", "--height", "40", "--tol", "1e-9",
         )
+        assert code == 3
+        assert "numerical error" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--z1", "0.1-1.2i", "--n", "1", "--s", "1.5"),
+        ("--n", "2", "--s", "1.5", "--method", "fourier"),
+        ("--n", "1", "--s", "1.5", "--tol", "0.5"),
+        ("--n", "1", "--s", "1.5", "--height", "0"),
+        ("--n", "1", "--s", "1.5", "--workers", "0"),
+        ("--n", "1", "--s", "1.0", "--height", "60"),
+    ], ids=["lower-half-plane", "fourier-n2", "tol", "height", "workers", "divergent"])
+    def test_invalid_value_is_usage_error(self, capsys, flags):
+        code, _, err = run_cli(capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", *flags)
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("omega", "--k", "3"),
+        ("omega-n", "--n", "2", "--s", "1.3", "--height", "60"),
+        ("psi1", "--s", "0.9", "--height", "60"),
+    ], ids=["omega-odd-k", "omega-n-divergent", "psi1-divergent"])
+    def test_invalid_target_value_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, "eval", argv[0], "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                               *argv[1:])
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_linalg_error_is_numerical_error(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError but is a numerical failure
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(latsum, "xi_direct", singular)
+        code, _, err = run_cli(capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                               "--n", "1", "--s", "1.5")
         assert code == 3
         assert "numerical error" in err
 
