@@ -12,9 +12,10 @@ All residue sums run over 1 <= m <= c with gcd(m, c) = 1, so c = 1
 contributes the single term m = 1.  This is the convention under which
 the Dirichlet series  sum_c C_c(r)/c^s = sigma_{1-s}(r)/zeta(s)  holds.
 
-Ramanujan and Kloosterman sums are evaluated by direct exponential
-summation (O(c) per sum with a per-modulus inverse table); integer-valued
-results are asserted to be within 1e-9 of an integer before rounding.
+Ramanujan and Kloosterman sums are evaluated by one kernel,
+kloosterman_matrix: a product of root-of-unity tables over the units mod c
+and their inverses (O(c) per sum); integer-valued results are asserted to
+be within 1e-9 of an integer before rounding.
 """
 
 from __future__ import annotations
@@ -136,13 +137,25 @@ def unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, result
 
 
+def kloosterman_matrix(c: int, a, b) -> np.ndarray:
+    """Complex matrix K(a_i, b_j; c) = sum over units m of e((a_i m + b_j m*)/c).
+
+    One (len(a) x phi(c)) @ (phi(c) x len(b)) product of tables of the c-th
+    roots of unity over unit_inverse_table(c); every Kloosterman and
+    Ramanujan sum in the package is evaluated here.
+    """
+    units, invs = unit_inverse_table(c)
+    a = np.mod(np.asarray(a, dtype=np.int64), c)
+    b = np.mod(np.asarray(b, dtype=np.int64), c)
+    roots = np.exp((2j * math.pi / c) * np.arange(c))
+    A = roots[np.mod(np.multiply.outer(a, units), c)]
+    B = roots[np.mod(np.multiply.outer(b, invs), c)]
+    return A @ B.T
+
+
 def ramanujan_sum(c: int, r: int) -> int:
-    """Ramanujan sum C_c(r) by direct exponential summation."""
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    units, _ = unit_inverse_table(c)
-    phase = np.exp((2j * np.pi * (r % c) / c) * units)
-    val = complex(np.sum(phase))
+    """Ramanujan sum C_c(r) = K(r, 0; c), rounded to its integer value."""
+    val = complex(kloosterman_matrix(c, [r], [0])[0, 0])
     nearest = round(val.real)
     if abs(val.imag) >= _INT_TOL or abs(val.real - nearest) >= _INT_TOL:
         raise PrecisionLoss(
@@ -153,9 +166,7 @@ def ramanujan_sum(c: int, r: int) -> int:
 
 def kloosterman(p: KloostermanParams) -> complex:
     """Kloosterman sum K(a, b; c) = sum over units m of e((a m + b m*)/c)."""
-    units, invs = unit_inverse_table(p.c)
-    phase = np.exp((2j * np.pi / p.c) * (p.a * units + p.b * invs))
-    return complex(np.sum(phase))
+    return complex(kloosterman_matrix(p.c, [p.a], [p.b])[0, 0])
 
 
 def kloosterman_abc(a: int, b: int, c: int) -> complex:

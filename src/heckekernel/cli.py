@@ -274,36 +274,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--z1", type=parse_complex)
-        p.add_argument("--z2", type=parse_complex)
-        p.add_argument("--z", type=parse_complex)
-        p.add_argument("--n", type=int)
-        p.add_argument("--s", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--method", choices=("direct", "fourier", "extrapolate"), default="direct")
-        p.add_argument("--height", type=int, help="matrix height bound H")
-        p.add_argument("--bmax", type=int, help="b-range for c = 0 sums")
-        p.add_argument("--cmax", type=int, help="c cutoff")
-        p.add_argument("--rmax", type=int, help="Fourier index cutoff")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--pairing", choices=("derived", "printed"))
-        p.add_argument("--shifted", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--timing", action="store_true")
-        p.add_argument("--config", type=str, help="key=value defaults file (flags win)")
-
     p_eval = sub.add_parser("eval", help="evaluate a series")
     p_eval.add_argument("target", choices=(
         "xi", "xi0", "xic", "s-series", "omega", "omega-n", "psi1", "psi2",
         "xi-star", "omega2"))
-    add_common(p_eval)
+    p_eval.add_argument("--z1", type=parse_complex)
+    p_eval.add_argument("--z2", type=parse_complex)
+    p_eval.add_argument("--z", type=parse_complex)
+    p_eval.add_argument("--n", type=int)
+    p_eval.add_argument("--s", type=float)
+    p_eval.add_argument("--k", type=int)
+    p_eval.add_argument("--m", type=int, default=1)
+    p_eval.add_argument("--method", choices=("direct", "fourier", "extrapolate"), default="direct")
+    p_eval.add_argument("--height", type=int, help="matrix height bound H")
+    p_eval.add_argument("--bmax", type=int, help="b-range for c = 0 sums")
+    p_eval.add_argument("--cmax", type=int, help="c cutoff")
+    p_eval.add_argument("--rmax", type=int, help="Fourier index cutoff")
+    p_eval.add_argument("--tol", type=float)
+    p_eval.add_argument("--workers", type=int)
+    p_eval.add_argument("--pairing", choices=("derived", "printed"))
+    p_eval.add_argument("--shifted", action="store_true")
+    p_eval.add_argument("--json", action="store_true")
+    p_eval.add_argument("--timing", action="store_true")
+    p_eval.add_argument("--config", type=str, help="key=value defaults file (flags win)")
 
     p_check = sub.add_parser("check", help="run an identity checker")
     p_check.add_argument("name")
-    add_common(p_check)
+    p_check.add_argument("--z1", type=parse_complex, help="point of the dbar checks")
+    p_check.add_argument("--z2", type=parse_complex, help="point of the dbar checks")
+    p_check.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="emit a value table")
     p_table.add_argument("name")
@@ -312,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--r", type=int)
     p_table.add_argument("--series", type=str, default="delta")
     p_table.add_argument("--order", type=int)
-    add_common(p_table)
+    p_table.add_argument("--cmax", type=int, help="last row")
+    p_table.add_argument("--json", action="store_true")
 
     return parser
 
@@ -355,8 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _apply_config(args, {a.split("=")[0] for a in argv if a.startswith("--")})
         if args.command == "eval":
+            _apply_config(args, {a.split("=")[0] for a in argv if a.startswith("--")})
             return _run_eval(args)
         if args.command == "check":
             return _run_check(args)

@@ -39,15 +39,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .accumulate import tree_sum
-from .arith import divisor_sieve, divisor_sigma, unit_inverse_table
+from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix
 from .errors import TailTooLarge
-from .special import EULER_GAMMA, gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
+from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
 from .latsum import omega_n_direct, xi0_direct, xi_direct, xic_slice
 from .types import (
     EvalResult,
@@ -138,61 +137,32 @@ def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
 @functools.lru_cache(maxsize=64)
 def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
                              pairing: str) -> tuple:
-    """Matrix Z[i, j] = sum_{c <= C_eff(i, j)} K(r_i, ±r'_j; c) / c^exponent.
-
-    Built per c as a (len(rs) x phi(c)) @ (phi(c) x len(rps)) product of
-    root-of-unity tables.  Modes whose Weil tail is already below 1e-14
-    stop their c-sums early; the matrix of residual Weil tails is returned
-    alongside.
+    """Matrix Z[i, j] = sum_{c <= C} K(r_i, -r'_j; c) / c^exponent (K(r_i, r'_j; c)
+    for pairing="printed"), one kloosterman_matrix per c, returned with the
+    matrix of Weil tail bounds sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C).
     """
     sign = -1 if pairing == "derived" else 1
-    nr, np_ = len(rs), len(rps)
-    Z = np.zeros((nr, np_), dtype=np.complex128)
     r_arr = np.array(rs, dtype=np.int64)
     rp_arr = np.array(rps, dtype=np.int64) * sign
-    # adaptive cutoffs: modes with larger |r| + |r'| decay much faster in
-    # the Bessel factors, so their zeta sums may stop sooner
-    sum_ord = np.add.outer(np.abs(r_arr), np.abs(rp_arr))
-    c_eff = np.where(sum_ord <= 2, C, np.where(sum_ord <= 4, min(C, 1200), min(C, 400)))
+    Z = np.zeros((len(rs), len(rps)), dtype=np.complex128)
     for c in range(1, C + 1):
-        active = c_eff >= c
-        if not active.any():
-            break
-        units, invs = unit_inverse_table(c)
-        roots = np.exp((2j * math.pi / c) * np.arange(c))
-        A = roots[np.mod(np.multiply.outer(r_arr, units), c)]
-        B = roots[np.mod(np.multiply.outer(rp_arr, invs), c)]
-        K = A @ B.T
-        Z += np.where(active, K, 0.0) * c ** (-exponent)
-    tails = np.empty((nr, np_), dtype=np.float64)
-    for i in range(nr):
-        for j in range(np_):
-            tails[i, j] = _weil_zeta_tail(
-                min(abs(rs[i]), abs(rps[j])), exponent, int(c_eff[i, j])
-            )
+        Z += kloosterman_matrix(c, r_arr, rp_arr) * c ** (-exponent)
+    a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
+    tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(1, exponent, C)
     return tuple(map(tuple, Z)), tuple(map(tuple, tails))
 
 
 def _weil_zeta_tail(a_min: int, exponent: float, C: int) -> float:
-    """sqrt(min gcd) * sum_{c > C} d(c) c^(1/2 - exponent), via zeta^2."""
+    """sqrt(min gcd) * sum_{c > C} d(c) c^(1/2 - exponent), via zeta^2.
+
+    The partial sum runs left to right over c, as the trial-division sum
+    sum(d(c) c^(-p) for c <= C) does, so the tail is bit-identical to it.
+    """
     p = exponent - 0.5
     if p <= 1.0:
         return math.inf
-    full = abs(zeta_fn(p)) ** 2
-    partials = _divisor_zeta_partials(p)
-    if len(partials) <= C:
-        # rebuilt rather than extended: the same left-to-right sum as
-        # sum(d(c) c^(-p) for c <= C), so every tail is bit-identical to it
-        d = divisor_sieve(C).tolist()
-        partials[:] = itertools.accumulate((dc * c ** (-p) for c, dc in enumerate(d, 1)), initial=0.0)
-    return math.sqrt(max(1, a_min)) * max(full - partials[C], 0.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _divisor_zeta_partials(p: float) -> list[float]:
-    """Running sums sum_{c <= k} d(c) c^(-p) for k = 0, 1, ...: one list per
-    exponent, grown in place by _weil_zeta_tail to the largest C asked for."""
-    return [0.0]
+    partial = sum(dc * c ** (-p) for c, dc in enumerate(divisor_sieve(C).tolist(), 1))
+    return math.sqrt(max(1, a_min)) * max(abs(zeta_fn(p)) ** 2 - partial, 0.0)
 
 
 def kloosterman_zeta(r: int, rp: int, exponent: float, C: int = 4000,
@@ -218,13 +188,8 @@ def _zeta_ratio_times_alpha2n(n: int, s: float) -> complex:
     if n == 1:
         head, _ = alpha_const_m2(2.0 * s)
         u = 4.0 * (s - 1.0)
-        if abs(u) < 1e-5:
-            # (2s-2) zeta(1+u) = u/2 * (1/u + gamma - gamma_1 u + ...)
-            prod = 0.5 + (EULER_GAMMA / 2.0) * u if u != 0 else 0.5
-            if u != 0:
-                prod = (u / 2.0) * zeta_near_one(u)
-        else:
-            prod = (2.0 * s - 2.0) * zeta_fn(4.0 * s - 3.0)
+        # (2s-2) zeta(4s-3) = u/2 * zeta(1+u) -> 1/2 at the pole u = 0
+        prod = 0.5 if u == 0 else (u / 2.0) * zeta_near_one(u)
         return complex(prod) * head / zeta_fn(4.0 * s - 2.0)
     raise ValueError("assembly supports n in {0, 1}")
 
@@ -353,11 +318,11 @@ def xi_tilde_fourier(z1: complex, z2: complex, n: int, s: float,
     # double modes: batched Kloosterman zeta over the full (r, r') grid
     rs = tuple(_modes(R))
     Z, T = _kloosterman_zeta_cached(rs, rs, 4.0 * s - 2.0 * n, cfg.C, cfg.pairing)
+    b1s = [beta_mode(2 * n, rp, 2.0 * s, z1.imag) for rp in rs]
     for i, r in enumerate(rs):
         b0 = beta_mode(0, r, 2.0 * s - n, z2.imag)
         for j, rp in enumerate(rs):
-            b1 = beta_mode(2 * n, rp, 2.0 * s, z1.imag)
-            coeff = b0 * b1
+            coeff = b0 * b1s[j]
             phase = (
                 cmath.exp(2j * math.pi * (r * x1 + rp * x2))
                 if swap_phases
@@ -440,7 +405,14 @@ def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
                     samples: tuple = (1.2, 1.4, 1.6),
                     policy: TruncationPolicy | None = None) -> EvalResult:
     """Polynomial extrapolation of direct sums in s down to s_target (see
-    _extrapolated for the sample rules and the error estimate)."""
+    _extrapolated for the sample rules and the error estimate).  Every
+    sample must lie above the direct sum's abscissa (n + 1)/2."""
+    abscissa = (n + 1) / 2.0
+    if any(s <= abscissa for s in samples):
+        raise ValueError(
+            f"xi_extrapolated at n = {n} needs every sample above the abscissa "
+            f"(n + 1)/2 = {abscissa:g}, got samples {tuple(samples)}"
+        )
     policy = policy or TruncationPolicy()
     return _extrapolated(s_target, samples, lambda s: xi_direct(z1, z2, n, s, policy), policy)
 
@@ -457,20 +429,19 @@ XI_STAR_COMPLETION = 24.0
 
 
 def xi_star(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = None,
-            policy: TruncationPolicy | None = None,
-            completion: float = XI_STAR_COMPLETION) -> EvalResult:
+            policy: TruncationPolicy | None = None) -> EvalResult:
     """Xi*_1(z1, z2) = Xi_1(z1, z2) (z2 - conj z2) - 24 / (z1 - conj z1),
     the holomorphic weight-2 quasi-modular combination (cocycle
     24 c (c z1 + d)), via the boundary assembly.
 
     The commonly printed completion constant is 12; finite differences
     show d/d conj(z1) [(z2 - conj z2) Xi_1] = 24 / (z1 - conj z1)^2, so
-    only the 24-completion is holomorphic (see ERRATA.md).  The constant
-    is exposed for experiments.
+    only the 24-completion (XI_STAR_COMPLETION) is holomorphic (see
+    ERRATA.md).
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     base = xi_fourier(z1, z2, 1, 1.0, cfg, policy)
-    value = base.value * (z2 - z2.conjugate()) - completion / (z1 - z1.conjugate())
+    value = base.value * (z2 - z2.conjugate()) - XI_STAR_COMPLETION / (z1 - z1.conjugate())
     err = base.err_estimate * abs(z2 - z2.conjugate())
     return EvalResult(value=value, err_estimate=err, method="fourier", policy=base.policy)

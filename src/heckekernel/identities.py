@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .arith import divisor_sieve, divisor_sigma, kloosterman_abc, weil_bound
+from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix, weil_bound
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
 from .latsum import _power_law_limit, ball_sum, omega_direct, psi_term_fn, s_series_direct
@@ -192,10 +192,12 @@ def check_weil(c_max: int = 200, ab_max: int = 20, tolerance: float = 1e-9) -> C
     worst = -math.inf
     worst_site = None
     equalities = []
+    args = range(1, ab_max + 1)
     for c in range(1, c_max + 1):
-        for a in range(1, ab_max + 1):
-            for b in range(1, ab_max + 1):
-                excess = abs(kloosterman_abc(a, b, c)) - weil_bound(a, b, c)
+        K = np.abs(kloosterman_matrix(c, args, args)).tolist()
+        for a in args:
+            for b in args:
+                excess = K[a - 1][b - 1] - weil_bound(a, b, c)
                 if excess > worst:
                     worst = excess
                     worst_site = (a, b, c)

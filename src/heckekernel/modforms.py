@@ -73,9 +73,6 @@ class QSeries:
         out = [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
         return QSeries(tuple(out), self.weight, self.offset)
 
-    def scale(self, factor) -> "QSeries":
-        return QSeries(tuple(c * factor for c in self.coeffs), self.weight, self.offset)
-
     def divide(self, other: "QSeries") -> "QSeries":
         """Series division; the divisor's leading coefficient must be 1."""
         if other.coeffs[0] != 1:

@@ -122,9 +122,8 @@ class FourierAssemblyConfig:
     """Cutoffs for the Fourier-side evaluation of the c > 0 series.
 
     R           max |r| and |r'| of the retained modes,
-    C           base c-cutoff of the Kloosterman-zeta sums (adaptively
-                lowered for modes whose Bessel factors already suppress
-                the Weil tail below ``tol``),
+    C           c-cutoff of the Kloosterman-zeta sums (every mode pair
+                sums c = 1..C; the rest is bounded by the Weil tail),
     corr_C      c-cutoff of the 1/c-shift correction series,
     corr_K      lattice window of the correction series,
     pairing     "derived" uses K(r, -r'; c) with phases (r, Re z2),
@@ -195,7 +194,9 @@ class CheckReport:
     def passed(self) -> bool:
         if not self.residuals:
             return False
-        return max(self.residuals) <= self.tolerance
+        # bool(): residuals may be numpy scalars, whose numpy.bool_ verdict
+        # json cannot serialise
+        return bool(max(self.residuals) <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,7 @@ from heckekernel.arith import (
     euler_phi,
     kloosterman,
     kloosterman_abc,
+    kloosterman_matrix,
     mod_inverse,
     ramanujan_sum,
     weil_bound,
@@ -150,6 +151,16 @@ class TestKloosterman:
                 assert kloosterman_abc(a, b, c) == pytest.approx(
                     kloosterman_brute(a, b, c), abs=1e-9
                 )
+
+    def test_matrix_against_brute_force(self):
+        a = (0, 1, -1, 2, -3, 7, 31)
+        b = (0, 1, -2, 4, 5, -11)
+        for c in range(1, 30):
+            K = kloosterman_matrix(c, a, b)
+            assert K.shape == (len(a), len(b))
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    assert K[i, j] == pytest.approx(kloosterman_brute(ai, bj, c), abs=1e-9)
 
     def test_imaginary_part_small(self):
         for c in range(1, 120):

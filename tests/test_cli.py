@@ -3,14 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from heckekernel import latsum
+from heckekernel import identities, latsum
 from heckekernel.cli import main, parse_complex
+from heckekernel.types import CheckReport
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_config(tmp_path, flags):
+    """flags with "hk.cfg" replaced by a readable, valid config file."""
+    cfg = tmp_path / "hk.cfg"
+    cfg.write_text("height=130\n")
+    return [str(cfg) if f == "hk.cfg" else f for f in flags]
 
 
 class TestComplexParsing:
@@ -127,6 +135,15 @@ class TestEval:
         assert code == 3
         assert "numerical error" in err
 
+    def test_extrapolate_below_abscissa_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", "--method",
+            "extrapolate", "--n", "2", "--s", "1.7", "--height", "100", "--tol", "1e-2",
+        )
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "n = 2" in err and "1.5" in err and "(1.2, 1.4, 1.6)" in err
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "s-series", "--z", "0.3+1.1i", "--n", "0", "--s", "2.0",
@@ -158,6 +175,24 @@ class TestCheck:
 
     def test_pairs_flag_removed(self, capsys):
         code, _, _ = run_cli(capsys, "check", "dirichlet", "--pairs", "x")
+        assert code == 2
+
+    def test_json_with_numpy_residuals(self, capsys, monkeypatch):
+        # check_theorem3's residuals are numpy scalars
+        def theorem3():
+            return CheckReport(name="theorem3", points=[(1j, 2j)],
+                               residuals=[np.float64(1e-5)], tolerance=1e-3)
+
+        monkeypatch.setattr(identities, "check_theorem3", theorem3)
+        code, out, _ = run_cli(capsys, "check", "theorem3", "--json")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("flags", [
+        ("--height", "5"), ("--shifted",), ("--tol", "0.5"), ("--config", "hk.cfg"),
+    ], ids=["height", "shifted", "tol", "config"])
+    def test_evaluator_flags_rejected(self, capsys, tmp_path, flags):
+        code, _, _ = run_cli(capsys, "check", "dirichlet", *with_config(tmp_path, flags))
         assert code == 2
 
     def test_text_summary(self, capsys):
@@ -192,6 +227,14 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "totient", "--cmax", "6")
         assert code == 0
         assert out.splitlines()[-1].split() == ["6", "2"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "0.5"), ("--height", "5"), ("--z1", "0.1+1.2i"), ("--config", "hk.cfg"),
+    ], ids=["tol", "height", "z1", "config"])
+    def test_evaluator_flags_rejected(self, capsys, tmp_path, flags):
+        code, _, _ = run_cli(capsys, "table", "totient", "--cmax", "6",
+                             *with_config(tmp_path, flags))
+        assert code == 2
 
 
 class TestConfig:

@@ -226,9 +226,8 @@ class TestKloostermanZeta:
         # the sieve-built running sums reproduce the plain left-to-right
         # sum of d(c) c^(-p) exactly, whichever cutoff is asked for first
         from heckekernel.arith import divisor_count
-        from heckekernel.continuation import _divisor_zeta_partials, _weil_zeta_tail
+        from heckekernel.continuation import _weil_zeta_tail
 
-        _divisor_zeta_partials.cache_clear()
         for exponent in (2.5, 3.1, 4.0):
             p = exponent - 0.5
             full = abs(zeta_fn(p)) ** 2
@@ -236,6 +235,30 @@ class TestKloostermanZeta:
                 partial = sum(divisor_count(c) * c ** (-p) for c in range(1, C + 1))
                 expected = math.sqrt(3) * max(full - partial, 0.0)
                 assert _weil_zeta_tail(3, exponent, C) == expected
+
+    def test_every_entry_sums_to_C(self):
+        # every (r, r') entry sums c = 1..C, whatever |r| + |r'| is; the
+        # reference builds each K(r, -r'; c) from pow(m, -1, c)
+        from heckekernel.continuation import _kloosterman_zeta_cached
+
+        rs = (1, -1, 2, -2, 3, -3)
+        C, p = 500, 2.5
+        Z, T = _kloosterman_zeta_cached(rs, rs, p, C, "derived")
+        naive = np.zeros((len(rs), len(rs)), dtype=np.complex128)
+        for c in range(1, C + 1):
+            units = np.array([m for m in range(1, c + 1) if math.gcd(m, c) == 1])
+            invs = np.array([1 if c == 1 else pow(int(m), -1, c) for m in units])
+            for i, r in enumerate(rs):
+                for j, rp in enumerate(rs):
+                    phase = np.exp(2j * np.pi * (r * units - rp * invs) / c)
+                    naive[i, j] += phase.sum() * c ** (-p)
+        assert np.max(np.abs(np.array(Z) - naive)) < 1e-12
+        tail = abs(zeta_fn(p - 0.5)) ** 2 - sum(
+            divisor_sigma(0, c).real * c ** (0.5 - p) for c in range(1, C + 1))
+        for i, r in enumerate(rs):
+            for j, rp in enumerate(rs):
+                a_min = min(abs(r), abs(rp))
+                assert T[i][j] == pytest.approx(math.sqrt(a_min) * tail, rel=1e-12)
 
     def test_tail_estimate_consistency(self):
         v1, t1 = kloosterman_zeta(1, 1, 2.0, C=2000)
@@ -326,6 +349,20 @@ class TestExtrapolation:
             omega2(Z1, Z2, samples=(1.2, 1.3, 1.3))
         with pytest.raises(ValueError):
             omega2(Z1, Z2, samples=(1.2, 1.4, 1.9))
+
+    def test_rejects_samples_below_abscissa(self, monkeypatch):
+        # at n = 2 the direct sum converges only for s > 3/2: the default
+        # samples are refused before any of them is evaluated
+        import heckekernel.continuation as continuation
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a sample was evaluated")
+
+        monkeypatch.setattr(continuation, "xi_direct", unexpected)
+        with pytest.raises(ValueError, match=r"n = 2 .*\(n \+ 1\)/2 = 1\.5, got samples \(1\.2, 1\.4, 1\.6\)"):
+            xi_extrapolated(Z1, Z2, n=2, s_target=1.7)
+        with pytest.raises(ValueError, match="abscissa"):
+            xi_extrapolated(Z1, Z2, n=2, s_target=1.7, samples=(1.5, 1.6, 1.7))
 
 
 class TestXiStar:

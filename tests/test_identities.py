@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from heckekernel.errors import AmbiguousNormalization
@@ -35,6 +36,16 @@ class TestCheckReport:
         doc = json.loads(rep.to_json())
         assert set(doc) == {"name", "points", "residuals", "tolerance", "pass", "details"}
         assert doc["pass"] is True
+
+
+    def test_numpy_residuals_give_python_bool(self):
+        # residuals computed from numpy scalars must still serialise
+        rep = CheckReport(name="x", residuals=[np.float64(1e-9)], tolerance=1e-7)
+        assert rep.passed is True
+        assert json.loads(rep.to_json())["pass"] is True
+        rep.residuals.append(np.float64(2e-7))
+        assert rep.passed is False
+        assert json.loads(rep.to_json())["pass"] is False
 
 
 class TestLemma1:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from heckekernel import accumulate, latsum
+from heckekernel import accumulate, arith, continuation, latsum
 from heckekernel.types import TruncationPolicy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,6 +38,12 @@ def test_spanned_attributes_exist(tracing):
         importlib.import_module(f"heckekernel.{mod}")
     for mod, attr, _ in tracing.SPANNED:
         assert callable(getattr(importlib.import_module(f"heckekernel.{mod}"), attr)), (mod, attr)
+
+
+def test_cached_attributes_keep_cache_info():
+    # the tracer's builds and hit_ratio metrics read the lru cache counters
+    assert hasattr(continuation._kloosterman_zeta_cached, "cache_info")
+    assert hasattr(arith.unit_inverse_table, "cache_info")
 
 
 def test_chunk_counter_signature():
