@@ -113,8 +113,7 @@ def mod_inverse(m: int, c: int) -> int:
     return inv if inv != 0 else c
 
 
-@functools.lru_cache(maxsize=8192)
-def unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (units, inverses) of residues 1..c coprime to c.
 
     Inverses are computed as m^(phi(c)-1) mod c with vectorised
@@ -137,14 +136,21 @@ def unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, result
 
 
+@functools.lru_cache(maxsize=8192)
+def unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """_unit_inverses(c), cached for the lattice kernels that reread it
+    (kloosterman_matrix reads each table once and builds it uncached)."""
+    return _unit_inverses(c)
+
+
 def kloosterman_matrix(c: int, a, b) -> np.ndarray:
     """Complex matrix K(a_i, b_j; c) = sum over units m of e((a_i m + b_j m*)/c).
 
     One (len(a) x phi(c)) @ (phi(c) x len(b)) product of tables of the c-th
-    roots of unity over unit_inverse_table(c); every Kloosterman and
+    roots of unity over _unit_inverses(c); every Kloosterman and
     Ramanujan sum in the package is evaluated here.
     """
-    units, invs = unit_inverse_table(c)
+    units, invs = _unit_inverses(c)
     a = np.mod(np.asarray(a, dtype=np.int64), c)
     b = np.mod(np.asarray(b, dtype=np.int64), c)
     roots = np.exp((2j * math.pi / c) * np.arange(c))

@@ -47,7 +47,7 @@ from .accumulate import tree_sum
 from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix
 from .errors import TailTooLarge
 from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
-from .latsum import omega_n_direct, xi0_direct, xi_direct, xic_slice
+from .latsum import limit_fit, omega_n_direct, xi0_direct, xi_direct, xic_slice
 from .types import (
     EvalResult,
     FourierAssemblyConfig,
@@ -370,18 +370,9 @@ def xi_fourier(z1: complex, z2: complex, n: int, s: float,
 # Extrapolation oracle
 
 
-def neville_at(x0: float, xs: list[float], ys: list[complex]) -> complex:
-    table = list(ys)
-    n = len(table)
-    for level in range(1, n):
-        for i in range(n - level):
-            xi, xj = xs[i], xs[i + level]
-            table[i] = ((x0 - xi) * table[i + 1] - (x0 - xj) * table[i]) / (xj - xi)
-    return table[0]
-
-
 def _extrapolated(s_target: float, samples: tuple, evaluate, policy) -> EvalResult:
-    """Polynomial extrapolation of evaluate(s) over the samples to s_target.
+    """Polynomial extrapolation of evaluate(s) over the samples to s_target:
+    limit_fit in x = s - s_target with powers 0..k-1 through the k samples.
 
     Needs at least 3 distinct samples in (1, 1.8]; the lowest 5 are used
     (degree at most 4).  The error estimate is the shift caused by dropping
@@ -395,8 +386,9 @@ def _extrapolated(s_target: float, samples: tuple, evaluate, policy) -> EvalResu
     samples = samples[:5]
     evals = [evaluate(s) for s in samples]
     ys = [e.value for e in evals]
-    full = neville_at(s_target, list(samples), ys)
-    dropped = neville_at(s_target, list(samples[:-1]), ys[:-1])
+    xs = [s - s_target for s in samples]
+    full = limit_fit(xs, ys, range(len(xs)))
+    dropped = limit_fit(xs[:-1], ys[:-1], range(len(xs) - 1))
     err = abs(full - dropped) + sum(e.err_estimate for e in evals)
     return EvalResult(value=full, err_estimate=err, method="extrapolated", policy=policy)
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .accumulate import chunked_sum, tree_sum
 from .arith import unit_inverse_table
-from .errors import NotConverged
+from .errors import NotConverged, PoleAt
+from .special import hurwitz_tail
 from .types import EvalResult, IntMatrix2, TruncationPolicy, nonzero_imag, upper_half
 
 _MARGIN = 0.1
@@ -198,10 +199,11 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
     """Ball sum with the policy's refinement.
 
     The signed truncation error of the height ball behaves like
-    alpha H^(-decay) (1 + O(1/H)); for slowly decaying sums the value is
-    extrapolated on the model  S(h) = S + alpha h^(-decay) + beta
-    h^(-decay-1)  through three heights, which stays independent of the
-    Fourier-side closed forms.
+    alpha H^(-decay) (1 + O(1/H)); richardson (3 heights) and lsq (6
+    geometric heights, averaging out the oscillation of the sharp height
+    cut) take limit_fit on S(h) = S + alpha h^(-decay) + beta h^(-decay-1),
+    independent of the Fourier-side closed forms.  The error is the shift
+    to a sub-fit plus 1e-3 of the distance from the largest ball.
     """
     H = policy.H
     if policy.refine == "none" or decay >= 3.0:
@@ -209,37 +211,29 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
         v_full = ball_sum(z1, z2, m, H, term_fn)
         err = abs(v_full - v_half)
         return v_full, err
+    powers = (0.0, -decay, -decay - 1.0)
     if policy.refine == "lsq":
-        # least-squares fit over six geometric heights; averages out the
-        # oscillatory subleading structure of the sharp height cut
         heights = [max(8, int(H * (1.0 / 2.5) ** (1 - i / 5.0))) for i in range(6)]
         vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
-        A = np.vstack(
-            [np.ones(len(heights)),
-             [h ** (-decay) for h in heights],
-             [h ** (-decay - 1.0) for h in heights]]
-        ).T
-        sol, *_ = np.linalg.lstsq(A, np.array(vals, dtype=np.complex128), rcond=None)
-        fit = complex(sol[0])
-        drop, *_ = np.linalg.lstsq(A[:-1], np.array(vals[:-1], dtype=np.complex128), rcond=None)
-        err = abs(fit - complex(drop[0])) + 1e-3 * abs(fit - vals[-1])
-        return fit, err
-    heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
-    vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
-    extr3 = _power_law_limit(heights, vals, decay)
-    extr2 = _power_law_limit(heights[1:], vals[1:], decay)
-    err = abs(extr3 - extr2) + 1e-3 * abs(extr3 - vals[-1])
-    return extr3, err
+        other = limit_fit(heights[:-1], vals[:-1], powers)
+    else:
+        heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
+        vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
+        other = limit_fit(heights[1:], vals[1:], powers[:2])
+    fit = limit_fit(heights, vals, powers)
+    err = abs(fit - other) + 1e-3 * abs(fit - vals[-1])
+    return fit, err
 
 
-def _power_law_limit(heights, vals, p: float):
-    """Solve S(h) = S + sum_j alpha_j h^(-p-j) for S (exact linear solve)."""
-    k = len(heights)
-    A = np.empty((k, k), dtype=np.float64)
-    A[:, 0] = 1.0
-    for j in range(1, k):
-        A[:, j] = [h ** (-(p + j - 1)) for h in heights]
-    sol = np.linalg.solve(A, np.array(vals, dtype=np.complex128))
+def limit_fit(xs, ys, powers) -> complex:
+    """Constant term of the least-squares fit ys ~ sum_j c_j xs^powers[j]
+    (powers[0] = 0); an exact solve when there are as many xs as powers.
+
+    Every extrapolation in the package is this fit: the height limit of
+    the direct sums, the s-limit of _extrapolated and the Psi residue.
+    """
+    A = np.array([[x**p for p in powers] for x in xs], dtype=np.float64)
+    sol, *_ = np.linalg.lstsq(A, np.asarray(ys), rcond=None)
     return complex(sol[0])
 
 
@@ -323,20 +317,7 @@ def psi_direct(which: int, z1: complex, z2: complex, s: float,
 # c = 0 series and the c-sliced (k, l) window sums
 
 
-def _hurwitz_tail(p: float, a: float, terms: int = 4) -> float:
-    """sum_{nu >= a} nu^(-p) by Euler-Maclaurin (real p > 1, large a)."""
-    total = a ** (1.0 - p) / (p - 1.0) + 0.5 * a ** (-p)
-    bern = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
-    rising = p
-    fact = 2.0
-    power = a ** (-p - 1.0)
-    for j in range(1, terms + 1):
-        if j > 1:
-            rising *= (p + 2 * j - 3) * (p + 2 * j - 2)
-            fact *= (2 * j - 1) * (2 * j)
-            power /= a * a
-        total += bern[j - 1] / fact * rising * power
-    return total
+_TAIL_ORDERS = 11  # orders 0..10 of the 1/nu expansions behind every line tail
 
 
 def _binom_general(alpha: complex, j: int) -> complex:
@@ -346,34 +327,54 @@ def _binom_general(alpha: complex, j: int) -> complex:
     return out
 
 
-def _s_series_tail(z: complex, n: int, s: float, B: int, orders: int = 8) -> tuple[complex, float]:
-    """Analytic tail sum_{|nu| > B} of the S_n summand, via the 1/nu
-    expansion and Hurwitz-zeta tails; returns (tail, error_bound)."""
-    zb = np.conj(np.complex128(z)).item()
-    coef_plus = []
-    for mth in range(orders + 2):
-        acc = 0j
-        for j in range(mth + 1):
-            acc += _binom_general(n - s, j) * _binom_general(-s, mth - j) * zb**j * z ** (mth - j)
-        coef_plus.append(acc)
-    tail = 0j
-    a = float(B + 1)
-    for mth in range(orders + 1):
-        h = _hurwitz_tail(2.0 * s - n + mth, a)
-        tail += coef_plus[mth] * h
-        tail += (-1.0) ** (n + mth) * coef_plus[mth] * h
-    err = 2.0 * abs(coef_plus[orders + 1]) * _hurwitz_tail(2.0 * s - n + orders + 1, a)
-    return tail, err
+def _inverse_expansion(w: complex, n: int, s: float) -> list[complex]:
+    """Coefficients e_m of (conj(w) + nu)^n |w + nu|^(-2s) =
+    sum_m e_m nu^(n-2s-m) as nu -> +inf; e_m is homogeneous of degree m
+    in (w, conj w), so nu -> -nu multiplies order m by (-1)^(n+m)."""
+    wb = w.conjugate()
+    return [sum(_binom_general(n - s, j) * _binom_general(-s, m - j) * wb**j * w ** (m - j)
+                for j in range(m + 1))
+            for m in range(_TAIL_ORDERS)]
+
+
+def _line_tail(coefs, p: float, B: int, parity: int) -> tuple[complex, float]:
+    """(tail, bound) of sum_{|nu| > B} f(nu), f(nu) = sum_m coefs[m] nu^(-p-m)
+    for nu > 0, order m times (-1)^(parity+m) for nu < 0.
+
+    The orders that survive the +-nu symmetry are summed through
+    hurwitz_tail, which continues them analytically where p + m <= 1 (and
+    raises PoleAt where p + m = 1); the first omitted one is the bound.
+    """
+    orders = [m for m in range(len(coefs)) if (parity + m) % 2 == 0]
+    a = B + 1
+    tail = 2.0 * sum(coefs[m] * hurwitz_tail(p + m, a) for m in orders[:-1])
+    return tail, 2.0 * abs(coefs[orders[-1]] * hurwitz_tail(p + orders[-1], a))
+
+
+def _line_result(terms: np.ndarray, weight: float, coefs, p: float, B: int, parity: int,
+                 policy: TruncationPolicy, warnings, where: str) -> EvalResult:
+    """weight * (sum of the |nu| <= B terms + their _line_tail)."""
+    try:
+        tail, tail_err = _line_tail(coefs, p, B, parity)
+    except PoleAt:
+        raise PoleAt(where, f"{where}: the continued series has a pole at this s") from None
+    value = weight * (complex(np.sum(terms)) + tail)
+    err = weight * tail_err + 2e-16 * float(np.sum(np.abs(terms)))
+    return _converged_result(value, err, policy, policy.tol, warnings)
 
 
 def s_series_direct(z: complex, n: int, s: float,
                     policy: TruncationPolicy | None = None) -> EvalResult:
-    """S_n(z, 0, s) = sum over nu in Z of (conj(z) + nu)^n / |z + nu|^(2s)."""
+    """S_n(z, 0, s) = sum over nu in Z of (conj(z) + nu)^n / |z + nu|^(2s).
+
+    The terms with |nu| <= B are summed and the rest is _line_tail of
+    _inverse_expansion(z).  Below the abscissa (n + 1)/2 this returns the
+    analytic continuation in s (with NotAbsolutelyConvergent); its poles,
+    s = (n + 1 - m)/2 for even m, raise PoleAt.
+    """
     z = nonzero_imag(z)
     policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= (n + 1) / 2.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
+    warnings = ("NotAbsolutelyConvergent",) if s <= (n + 1) / 2.0 + _MARGIN else ()
     B = policy.B
     nu = np.arange(-B, B + 1, dtype=np.float64)
     base = np.conj(np.complex128(z)) + nu
@@ -382,16 +383,20 @@ def s_series_direct(z: complex, n: int, s: float,
         terms = abs2 ** (-s)
     else:
         terms = base**n * abs2 ** (-s)
-    value = complex(np.sum(terms))
-    tail, tail_err = _s_series_tail(z, n, s, B)
-    value += tail
-    err = tail_err + 2e-16 * float(np.sum(np.abs(terms)))
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return _line_result(terms, 1.0, _inverse_expansion(z, n, s), 2.0 * s - n, B, n, policy,
+                        warnings, f"s_series_direct(n = {n}, s = {s})")
 
 
 def xi0_direct(z1: complex, z2: complex, n: int, s: float,
                policy: TruncationPolicy | None = None) -> EvalResult:
     """The c = 0 subsum: 2 sum over b in Z of the (1, b; 0, 1) term.
+
+    With nu = -b the term is the product of the S-type summands at
+    w = z2 - z1 and w = conj(z2) - z1, so the |b| > B tail is _line_tail
+    of the Cauchy product of their _inverse_expansion's.  Below the
+    abscissa (2n + 1)/4 this returns the analytic continuation in s (with
+    NotAbsolutelyConvergent); its poles, s = (2n + 1 - m)/4 for even m,
+    raise PoleAt.
 
     The printed form of this subsum folds b with -b at equal value, which
     only holds on symmetric points; the exact subsum is kept (it is the
@@ -400,59 +405,15 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= (2.0 * n + 1.0) / 4.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
+    warnings = ("NotAbsolutelyConvergent",) if s <= (2.0 * n + 1.0) / 4.0 + _MARGIN else ()
     B = policy.B
     b = np.arange(-B, B + 1, dtype=np.float64)
-    w1 = z2 - z1 - b
-    w2 = np.conj(np.complex128(z2)) - z1 - b
-    abs2 = (w1.real**2 + w1.imag**2) * (w2.real**2 + w2.imag**2)
-    if n == 0:
-        terms = abs2 ** (-s)
-    else:
-        terms = (np.conj(w1) * np.conj(w2)) ** n * abs2 ** (-s)
-    value = 2.0 * complex(np.sum(terms))
-    # both b tails behave like b^(2n - 4s): Euler-Maclaurin on the product form
-    tail, tail_err = _xi0_tail(z1, z2, n, s, B)
-    value += 2.0 * tail
-    err = 2.0 * tail_err + 2e-16 * float(np.sum(np.abs(terms)))
-    return _converged_result(value, err, policy, policy.tol, warnings)
-
-
-def _xi0_tail(z1: complex, z2: complex, n: int, s: float, B: int) -> tuple[complex, float]:
-    """Euler-Maclaurin tail of the b-sum beyond |b| = B: integral via a
-    1/b substitution plus the endpoint and first-derivative corrections."""
-    w = z2 - z1
-    wt = np.conj(np.complex128(z2)).item() - z1
-
-    def t(bv: float) -> complex:
-        w1 = w - bv
-        w2 = wt - bv
-        a2 = (w1.real**2 + w1.imag**2) * (w2.real**2 + w2.imag**2)
-        return (np.conj(w1) * np.conj(w2)) ** n * a2 ** (-s) if n else a2 ** (-s)
-
-    def dt(bv: float, h: float = 1.0) -> complex:
-        return (t(bv + h) - t(bv - h)) / (2.0 * h)
-
-    tail = 0j
-    err = 0.0
-    for sign in (1.0, -1.0):
-        a = float(B + 1)
-
-        def f(x):
-            return t(sign * x)
-
-        # integral int_a^inf f via the 1/x substitution and Gauss-Legendre
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        u = 0.5 * (nodes + 1.0)
-        du = 0.5 * weights
-        x = a / u
-        vals = np.array([f(xx) for xx in x])
-        integral = complex(np.sum(vals * (a / u**2) * du))
-        tail += integral + 0.5 * f(a) - dt(sign * a) * sign / 12.0
-        err += abs(f(a)) / a  # conservative next-order bound
-    return tail, err
+    terms = xi_term_fn(n, s)(z2 - z1 - b, np.conj(np.complex128(z2)) - z1 - b)
+    e1 = _inverse_expansion(z2 - z1, n, s)
+    e2 = _inverse_expansion(z2.conjugate() - z1, n, s)
+    coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(_TAIL_ORDERS)]
+    return _line_result(terms, 2.0, coefs, 4.0 * s - 2.0 * n, B, 0, policy, warnings,
+                        f"xi0_direct(n = {n}, s = {s})")
 
 
 def xic_direct(z1: complex, z2: complex, n: int, s: float,

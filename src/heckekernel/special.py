@@ -2,7 +2,8 @@
 derivative factor Phi.
 
     gamma_fn   Lanczos approximation (g = 7), reflection below Re(s) = 1/2
-    zeta_fn    Euler-Maclaurin with N = 50 direct terms and 8 corrections
+    zeta_fn    79 direct terms plus hurwitz_tail, the Euler-Maclaurin
+               remainder sum_{nu >= a} nu^(-s) with 10 corrections
     bessel_k   K_lam(x) = 1/2 int_0^inf exp(-(x/2)(t + 1/t)) t^(lam-1) dt,
                evaluated on the cosh substitution by a trapezoid rule
     phi_factor Phi_sgn(Y, n, lam) = e^(2 sgn Y) d^n/dY^n [e^(-2 sgn Y)
@@ -91,27 +92,33 @@ def rgamma(s: complex) -> complex:
     return 1.0 / gamma_fn(s)
 
 
-def zeta_fn(s: complex, n_direct: int = 80, n_bernoulli: int = 10) -> complex:
-    """Riemann zeta by Euler-Maclaurin; accurate to ~1e-12 for Re(s) > 1/2."""
-    s = complex(s)
+def hurwitz_tail(s, a: int):
+    """sum_{nu >= a} nu^(-s) by Euler-Maclaurin through B_20 (integer a >= 1,
+    large against |s|).  For Re(s) <= 1 the same expression is the analytic
+    continuation; s = 1 is a pole."""
     if abs(s - 1.0) <= _POLE_EPS:
-        raise PoleAt(1, "zeta pole at s = 1")
-    n = n_direct
-    total = 0j
-    for k in range(1, n):
-        total += complex(k) ** (-s)
-    total += 0.5 * complex(n) ** (-s)
-    total += complex(n) ** (1.0 - s) / (s - 1.0)
-    # correction terms: B_2j / (2j)! * (s)(s+1)...(s+2j-2) * n^(-s-2j+1)
+        raise PoleAt(1, f"Hurwitz tail pole at s = {s}")
+    total = 0.5 * a ** (-s) + a ** (1.0 - s) / (s - 1.0)
+    # correction terms: B_2j / (2j)! * (s)(s+1)...(s+2j-2) * a^(-s-2j+1)
     rising = s  # (s)_(1)
     fact = 2.0  # (2j)! at j = 1
-    power = complex(n) ** (-s - 1.0)
-    for j in range(1, n_bernoulli + 1):
+    power = a ** (-s - 1.0)
+    for j, bern in enumerate(_BERNOULLI, start=1):
         if j > 1:
             rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
             fact *= (2 * j - 1) * (2 * j)
-            power /= n * n
-        total += _BERNOULLI[j - 1] / fact * rising * power
+            power /= a * a
+        total += bern / fact * rising * power
+    return total
+
+
+def zeta_fn(s: complex) -> complex:
+    """Riemann zeta as 79 direct terms plus hurwitz_tail(s, 80); accurate to
+    ~1e-12 for Re(s) > 1/2."""
+    s = complex(s)
+    if abs(s - 1.0) <= _POLE_EPS:
+        raise PoleAt(1, "zeta pole at s = 1")
+    total = sum(complex(k) ** (-s) for k in range(1, 80)) + hurwitz_tail(s, 80)
     if s.imag == 0.0:
         return complex(total.real, 0.0)
     return total

@@ -38,9 +38,6 @@ class IntMatrix2:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def __neg__(self) -> "IntMatrix2":
-        return IntMatrix2(-self.a, -self.b, -self.c, -self.d)
-
     def height(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 

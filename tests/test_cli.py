@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heckekernel import identities, latsum
-from heckekernel.cli import main, parse_complex
+from heckekernel.cli import build_parser, main, parse_complex
 from heckekernel.types import CheckReport
 
 
@@ -144,6 +147,37 @@ class TestEval:
         assert err.startswith("usage error:")
         assert "n = 2" in err and "1.5" in err and "(1.2, 1.4, 1.6)" in err
 
+    def test_s_series_at_cancelled_leading_order(self, capsys):
+        # the nu^(-1) order of S_1 cancels between nu and -nu at s = 1
+        code, out, _ = run_cli(capsys, "eval", "s-series", "--z", "0.1+1.2i", "--n", "1",
+                               "--s", "1.0", "--json")
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert abs(complex(value["re"], value["im"]) - (0.0019645759514 - 3.1442948840j)) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ("s-series", "--z", "0.1+1.2i", "--n", "0", "--s", "0.5"),
+        ("s-series", "--z", "0.1+1.2i", "--n", "2", "--s", "1.5"),
+        ("xi0", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", "--n", "1", "--s", "0.75"),
+    ], ids=["s-series-n0", "s-series-n2", "xi0-n1"])
+    def test_pole_is_numerical_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, "eval", *argv)
+        assert code == 3
+        evaluator = "xi0_direct" if argv[0] == "xi0" else "s_series_direct"
+        assert "PoleAt" in err and evaluator in err and f"s = {argv[-1]}" in err
+        assert "Hurwitz" not in err
+
+    def test_xi0_continuation_is_bmax_independent(self, capsys):
+        values = []
+        for bmax in ("300", "3000", "100000"):
+            code, out, _ = run_cli(capsys, "eval", "xi0", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                                   "--n", "1", "--s", "0.7", "--bmax", bmax, "--json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["warnings"] == ["NotAbsolutelyConvergent"]
+            values.append(complex(doc["value"]["re"], doc["value"]["im"]))
+        assert max(abs(v - values[0]) for v in values) < 1e-12
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "s-series", "--z", "0.3+1.1i", "--n", "0", "--s", "2.0",
@@ -276,3 +310,19 @@ class TestConfig:
             "--n", "1", "--s", "1.5", "--height", "100", "--json",
         )
         assert code == 0
+
+
+class TestReadme:
+    def test_flag_lists_match_parser(self):
+        # README's per-subcommand flag lists are the CLI reference
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        documented = {
+            cmd: set(re.findall(r"--[a-z][a-z0-9-]*", body))
+            for cmd, body in re.findall(r"^- `(\w+) [A-Z]+`: (.*?)(?=^- `|^$)", text, re.M | re.S)
+        }
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actual = {
+            cmd: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+            for cmd, p in sub.choices.items()
+        }
+        assert documented == actual

@@ -1,10 +1,15 @@
+import cmath
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heckekernel.latsum import (
+    _inverse_expansion,
+    _line_tail,
     ball_sum,
     enumerate_matrices,
     mu,
@@ -24,7 +29,7 @@ from heckekernel.latsum import (
 )
 from heckekernel.accumulate import tree_sum
 from heckekernel.arith import unit_inverse_table
-from heckekernel.continuation import shift_correction
+from heckekernel.continuation import alpha_const, beta_mode, s_series_fourier, shift_correction
 from heckekernel.identities import psi_residue_fit
 from heckekernel.modforms import delta_value
 from heckekernel.types import FourierAssemblyConfig, IntMatrix2, TruncationPolicy
@@ -428,6 +433,65 @@ class TestSSeries:
         big = s_series_direct(0.3 + 1.1j, 0, 1.1, TruncationPolicy(B=2_000_000, tol=1e-2)).value
         small = s_series_direct(0.3 + 1.1j, 0, 1.1, TruncationPolicy(B=5_000, tol=1e-2)).value
         assert abs(big - small) < 1e-9
+
+
+class TestLineTails:
+    """The 1-D sums (S_n and the c = 0 series) finished by _line_tail."""
+
+    def test_xi0_continued_below_abscissa_is_b_independent(self):
+        # s = 0.7 < (2n + 1)/4 = 3/4: the analytic continuation in s
+        vals = [xi0_direct(Z1, Z2, 1, 0.7, TruncationPolicy(B=B, tol=1e-2))
+                for B in (300, 3000, 100_000)]
+        assert all("NotAbsolutelyConvergent" in r.warnings for r in vals)
+        for r in vals[1:]:
+            assert abs(r.value - vals[0].value) < 1e-12
+
+    def test_s1_at_cancelled_leading_order_matches_fourier(self):
+        # at n = s = 1 the nu^(-1) order cancels between nu and -nu; the
+        # Fourier formula alpha_1(1) y^0 + sum_r beta_1(r, 1, y) e(r x)
+        z = 0.1 + 1.2j
+        d = s_series_direct(z, 1, 1.0)
+        f = alpha_const(1, 1.0) + sum(beta_mode(1, r, 1.0, z.imag) * cmath.exp(2j * math.pi * r * z.real)
+                                      for r in range(-30, 31) if r)
+        assert abs(d.value - f) < 1e-12
+
+    def test_xi0_tail_matches_brute_force(self):
+        # n = s = 1, B = 200: the terms 200 < |b| <= M summed with fsum, plus
+        # the far tail 2 sum_{nu > M} nu^(-2) (higher orders < 1e-18 there)
+        n, s, B, M = 1, 1.0, 200, 2_000_000
+        e1 = _inverse_expansion(Z2 - Z1, n, s)
+        e2 = _inverse_expansion(Z2.conjugate() - Z1, n, s)
+        coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(len(e1))]
+        tail, bound = _line_tail(coefs, 4 * s - 2 * n, B, 0)
+        b = np.concatenate([np.arange(-M, -B, dtype=np.float64), np.arange(B + 1, M + 1, dtype=np.float64)])
+        t = xi_term_fn(n, s)(Z2 - Z1 - b, Z2.conjugate() - Z1 - b)
+        far = 2.0 * (1.0 / M - 0.5 / M**2 + 1.0 / (6.0 * M**3))
+        brute = complex(math.fsum(t.real) + far, math.fsum(t.imag))
+        assert abs(tail - brute) < 1e-15
+        assert bound < 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(0.2, 2.0), n=st.integers(0, 3),
+           ds=st.floats(0.05, 1.0))
+    def test_s_series_matches_fourier(self, x, y, n, ds):
+        z = complex(x, y)
+        s = min(3.0, (n + 1) / 2.0 + ds)
+        d = s_series_direct(z, n, s, TruncationPolicy(B=2000, tol=1e-2)).value
+        f = s_series_fourier(z, n, s, R=40).value
+        assert abs(d - f) <= 1e-8 * abs(f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x1=st.floats(-0.5, 0.5), y1=st.floats(0.2, 2.0), x2=st.floats(-0.5, 0.5),
+           y2=st.floats(0.2, 2.0), n=st.integers(0, 3), ds=st.floats(-0.2, 1.0))
+    def test_xi0_is_b_independent(self, x1, y1, x2, y2, n, ds):
+        # both sides of the abscissa (2n + 1)/4, the nearest pole; the next
+        # pole lies 1/2 below it.  z2 = z1 + b is the diagonal singularity.
+        assume(abs(ds) >= 0.02)
+        assume(abs(y2 - y1) >= 0.05 or abs(x2 - x1 - round(x2 - x1)) >= 0.05)
+        z1, z2, s = complex(x1, y1), complex(x2, y2), (2 * n + 1) / 4.0 + ds
+        lo = xi0_direct(z1, z2, n, s, TruncationPolicy(B=300, tol=1e-2)).value
+        hi = xi0_direct(z1, z2, n, s, TruncationPolicy(B=3000, tol=1e-2)).value
+        assert abs(lo - hi) <= 1e-12 * max(1.0, abs(hi))
 
 
 class TestOmegaN:
