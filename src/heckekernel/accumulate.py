@@ -13,9 +13,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
-def tree_sum(values: Sequence[complex]) -> complex:
-    """Pairwise reduction in a fixed order independent of how values were produced."""
-    vals = [complex(v) for v in values]
+def tree_sum(values: Sequence):
+    """Pairwise reduction in a fixed order independent of how values were
+    produced; the values are numbers or arrays of one shape (summed
+    elementwise)."""
+    vals = list(values)
     if not vals:
         return 0j
     while len(vals) > 1:
@@ -28,6 +30,6 @@ def tree_sum(values: Sequence[complex]) -> complex:
     return vals[0]
 
 
-def chunked_sum(n_chunks: int, chunk_fn: Callable[[int], complex]) -> complex:
+def chunked_sum(n_chunks: int, chunk_fn: Callable[[int], object]):
     """Sum chunk_fn(i) for i in range(n_chunks) with a fixed reduction tree."""
     return tree_sum([chunk_fn(i) for i in range(n_chunks)])

@@ -45,7 +45,7 @@ import numpy as np
 
 from .accumulate import tree_sum
 from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix
-from .errors import TailTooLarge
+from .errors import PoleAt, TailTooLarge
 from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
 from .latsum import limit_fit, omega_n_direct, xi0_direct, xi_direct, xic_slice
 from .types import (
@@ -104,30 +104,36 @@ def beta_mode(m: int, r: int, sigma: float, y: float) -> complex:
 
 
 def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
-    """S_n(z, 0, s) through its Fourier expansion (s > (n+1)/2)."""
+    """S_n(z, 0, s) through its Fourier expansion.
+
+    The expansion is finite below the abscissa (n + 1)/2 too, where it is
+    the analytic continuation in s that s_series_direct also returns (with
+    NotAbsolutelyConvergent); its poles, s = (n + 1 - m)/2 for m = n
+    (mod 2), are the poles of alpha_const and raise PoleAt.
+    """
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must have nonzero imaginary part")
     conjugate = z.imag < 0
     if conjugate:
         z = z.conjugate()
-    if s <= (n + 1) / 2.0:
-        raise ValueError(f"need s > (n+1)/2 = {(n+1)/2}, got {s}")
+    warnings = ("NotAbsolutelyConvergent",) if s <= (n + 1) / 2.0 else ()
     y = z.imag
     x = z.real
-    total = alpha_const(n, s) * y ** (1.0 + n - 2.0 * s)
-    last = 0.0
+    try:
+        total = alpha_const(n, s) * y ** (1.0 + n - 2.0 * s)
+    except PoleAt:
+        where = f"s_series_fourier(n = {n}, s = {s})"
+        raise PoleAt(where, f"{where}: the continued series has a pole at this s") from None
     for r in range(1, R + 1):
         for rr in (r, -r):
-            mode = beta_mode(n, rr, s, y) * cmath.exp(2j * math.pi * rr * x)
-            total += mode
-            last = max(last, abs(mode)) if r == R else last
+            total += beta_mode(n, rr, s, y) * cmath.exp(2j * math.pi * rr * x)
     # the first omitted mode bounds the tail by exponential decay
     err = 2.0 * max(
         abs(beta_mode(n, R + 1, s, y)), abs(beta_mode(n, -(R + 1), s, y))
     )
     value = total.conjugate() if conjugate else total
-    return EvalResult(value=value, err_estimate=err, method="fourier")
+    return EvalResult(value=value, err_estimate=err, method="fourier", warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

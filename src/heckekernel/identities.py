@@ -354,12 +354,12 @@ def _omega_on_grid(pts: np.ndarray, z2: complex, k: int, H: int) -> np.ndarray:
 def psi_residue_fit(z1: complex, z2: complex, which: int = 1,
                     samples=(1.05, 1.08, 1.12, 1.18, 1.25),
                     heights=(300, 600, 1200)) -> float:
-    """Fitted residue of Psi at s = 1: the height limit of each sample, then
-    the constant term of a quadratic fit of (s-1) Psi(s) in s - 1."""
+    """Fitted residue of Psi at s = 1: the height limit of each sample (all
+    heights from one ball_sum), then the constant term of a quadratic fit of
+    (s-1) Psi(s) in s - 1."""
     rvals = []
     for s in samples:
-        fn = psi_term_fn(which, s)
-        vals = [ball_sum(z1, z2, 1, h, fn).real for h in heights]
+        vals = ball_sum(z1, z2, 1, heights, psi_term_fn(which, s)).real
         decay = 4.0 * s - 4.0
         rvals.append((s - 1.0) * limit_fit(heights, vals, (0.0, -decay, -decay - 1.0)).real)
     return limit_fit([s - 1.0 for s in samples], rvals, (0, 1, 2)).real

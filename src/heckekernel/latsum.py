@@ -9,10 +9,11 @@ mu2 = mu(gamma, z1, conj(z2)).  For c != 0 it factors as
 
     mu = [(c z1 + d)(c w - a) + m] / c.
 
-Sums over the height ball max(|a|,|b|,|c|,|d|) <= H are organised as one
-chunk per |c| value; each chunk is evaluated with numpy and the chunk
-values are combined along a fixed-shape tree, so a value depends only on
-its inputs and cutoffs.  Every series here pairs gamma with -gamma at equal
+Sums over the height balls max(|a|,|b|,|c|,|d|) <= h, for every h of a
+heights tuple at once, are organised as one chunk per |c| value; each
+chunk enumerates the points of the largest ball with numpy and buckets
+them by height, and the chunk values are combined along a fixed-shape
+tree, so a value depends only on its inputs and cutoffs.  Every series here pairs gamma with -gamma at equal
 term value (all integrands have even total degree), so only c >= 0 is
 enumerated and c > 0 chunks carry weight 2.
 """
@@ -26,12 +27,12 @@ import numpy as np
 
 from .accumulate import chunked_sum, tree_sum
 from .arith import unit_inverse_table
-from .errors import NotConverged, PoleAt
+from .errors import NearDiagonal, NotConverged, PoleAt
 from .special import hurwitz_tail
 from .types import EvalResult, IntMatrix2, TruncationPolicy, nonzero_imag, upper_half
 
 _MARGIN = 0.1
-_BLOCK = 1 << 18  # max grid elements processed at once inside a chunk
+_BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
 _SLICE_BLOCK = 1 << 15  # grid elements per xic_slice block (cache-sized)
 
 
@@ -90,7 +91,11 @@ def xi_term_fn(n: int, s: float) -> TermFn:
         a = (mu1.real**2 + mu1.imag**2) * (mu2.real**2 + mu2.imag**2)
         if n == 0:
             return a ** (-s)
-        return (np.conj(mu1) * np.conj(mu2)) ** n * a ** (-s)
+        p = np.conj(mu1) * np.conj(mu2)
+        if n > 1:  # p**1 is p; a complex pow costs more than the real one below
+            p **= n
+        p *= a ** (-s)
+        return p
 
     return fn
 
@@ -123,18 +128,76 @@ def psi_term_fn(which: int, s: float) -> TermFn:
     return fn
 
 
-def _chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: TermFn) -> complex:
-    """Sum over det-m matrices with this c >= 0 in the ball (with their negations).
+def _terms(term_fn: TermFn, mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """term_fn(mu1, mu2); NearDiagonal where a term is singular at mu1 = 0.
 
-    For c > 0 the matrices are grouped by g = gcd(a, c), which must divide
-    m: a = g a' with a' a unit mod c/g, and a d = m (mod c) forces
-    d = d0 + (c/g) t with d0 = (m/g) a'^(-1) (mod c/g).  Each group is
-    vectorized over (a', t) and masked to the height ball.
+    mu1 = 0 means z2 is the image of z1 under a det-m matrix (z1 = z2 for
+    the identity): the xi, omega_n and psi terms divide by |mu1| there,
+    while omega's mu2-only term stays finite and is summed as usual.
     """
-    z2b = complex(np.conj(np.complex128(z2)))
+    if mu1.all():
+        return term_fn(mu1, mu2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = term_fn(mu1, mu2)
+    if not np.isfinite(terms).all():
+        raise NearDiagonal("mu1 = 0: z2 is the image of z1 under a lattice matrix")
+    return terms
+
+
+def _mu_pair(z1: complex, z2: complex, c: int, a: np.ndarray, b: np.ndarray,
+             d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu1 = c z1 z2 + d z2 - a z1 - b and mu2 (z2 -> conj z2), built from
+    real parts with the rounding of that complex expression."""
+    dx, dy, ax, ay = d * z2.real, d * z2.imag, a * z1.real, a * z1.imag
+    k1, k2 = c * z1 * z2, c * z1 * z2.conjugate()
+    re1 = dx + k1.real
+    re1 -= ax
+    re1 -= b
+    re2 = dx + k2.real
+    re2 -= ax
+    re2 -= b
+    im1 = dy + k1.imag
+    im1 -= ay
+    im2 = k2.imag - dy
+    im2 -= ay
+    mu1 = np.empty(a.size, dtype=np.complex128)
+    mu2 = np.empty(a.size, dtype=np.complex128)
+    mu1.real, mu1.imag, mu2.real, mu2.imag = re1, im1, re2, im2
+    return mu1, mu2
+
+
+def _bucket_sums(terms: np.ndarray, bucket: np.ndarray, nb: int) -> np.ndarray:
+    """Sum of the terms in each of nb height buckets, one pairwise np.sum
+    per bucket over its terms in enumeration order."""
+    if nb == 1:
+        return np.array([terms.sum()])
+    order = np.argsort(bucket, kind="stable")
+    grouped = terms[order]
+    ends = np.cumsum(np.bincount(bucket, minlength=nb)).tolist()
+    return np.array([grouped[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+
+
+def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
+                 term_fn: TermFn) -> np.ndarray:
+    """Sums over the det-m matrices with this c >= 0 (with their negations),
+    one per height in the sorted, distinct heights: entry j sums the
+    matrices with max(|a|, |b|, c, |d|) <= heights[j].
+
+    Only the live points of the largest ball are enumerated, once.  For
+    c > 0 the matrices are grouped by g = gcd(a, c), which must divide m:
+    a = g a' with a' a unit mod c/g, and a d = m (mod c) forces
+    d = d0 (mod c/g) with d0 = (m/g) a'^(-1).  For each a, |d| <= H and
+    |b| = |a d - m| / c <= H bound an integer interval of d, so the rows
+    are ragged runs of d in steps of c/g along which b steps by a'.  Each
+    point goes to the bucket of its height, the buckets are summed
+    (_bucket_sums) and the bucket sums accumulated over the heights.
+    """
+    H = int(heights[-1])
+    live = heights[heights >= c]  # every point of this chunk has height >= c
+    bucket_of = np.searchsorted(live, np.arange(H + 1)).astype(np.min_scalar_type(live.size))
+    total = np.zeros(heights.size, dtype=np.complex128)
     if c == 0:
-        b = np.arange(-H, H + 1, dtype=np.float64)
-        total = 0j
+        b = np.arange(-H, H + 1, dtype=np.int64)
         for a in range(1, H + 1):
             if m % a:
                 continue
@@ -144,85 +207,109 @@ def _chunk_value(z1: complex, z2: complex, m: int, c: int, H: int, term_fn: Term
             # mu for (a, b; 0, d): d w - a z1 - b; the pair (-a, -b; 0, -d)
             # contributes equally, hence the factor 2
             mu1 = d * z2 - a * z1 - b
-            mu2 = d * z2b - a * z1 - b
-            total += 2.0 * complex(np.sum(term_fn(mu1, mu2)))
-        return total
+            mu2 = d * z2.conjugate() - a * z1 - b
+            bucket = bucket_of[np.maximum(np.abs(b), max(a, d))]
+            total += 2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size)
+        return np.cumsum(total)
     vals = []
     for g in range(1, math.gcd(c, m) + 1):
         if c % g or m % g:
             continue
         cg = c // g
-        a_all = np.arange(-(H // g), H // g + 1, dtype=np.int64)  # a' = a / g
-        keep = np.gcd(a_all % cg, cg) == 1
-        a_all = a_all[keep]
         units, invs = unit_inverse_table(cg)
         if m != g:  # for m = g the inverses already are the d0 residues
             invs = ((m // g) * invs - 1) % cg + 1
-        inv_of = np.zeros(cg, dtype=np.int64)
-        inv_of[units % cg] = invs
-        d0 = inv_of[a_all % cg]  # representative in 1..c/g of (m/g) a'^(-1)
-        a_all *= g  # back to a
-        t_lo = -((H + cg) // cg)
-        t_hi = (H - 1) // cg
-        t = np.arange(t_lo, t_hi + 1, dtype=np.int64)
-        max_rows = max(1, _BLOCK // t.size)
-        for start in range(0, a_all.size, max_rows):
-            a = a_all[start : start + max_rows, None].astype(np.float64)
-            d = (d0[start : start + max_rows, None] + cg * t[None, :]).astype(np.float64)
-            b = (a * d - m) / c
-            mask = (np.abs(d) <= H) & (np.abs(b) <= H)
-            if not mask.any():
+        d0_of = np.zeros(cg, dtype=np.int64)  # 0 marks a' that is not a unit
+        d0_of[units % cg] = invs
+        a_row = np.arange(-(H // g), H // g + 1, dtype=np.int64)  # a' = a / g
+        d0 = d0_of[a_row % cg]
+        a_row, d0 = a_row[d0 > 0], d0[d0 > 0]
+        a = g * a_row
+        # m - cH <= a d <= m + cH and |d| <= H as exact integer bounds on d
+        abs_a = np.maximum(np.abs(a), 1)
+        d_hi = (m + c * H) // abs_a  # floor((m + cH) / |a|)
+        d_lo = -((c * H - m) // abs_a)  # ceil((m - cH) / |a|)
+        lo = np.maximum(np.where(a > 0, d_lo, -d_hi), -H)
+        hi = np.minimum(np.where(a > 0, d_hi, -d_lo), H)
+        if cg == 1:  # a = 0 occurs (c | m): then b = -m / c for every d
+            hi[a == 0] = H if m <= c * H else -H - 1
+        first = lo + (d0 - lo) % cg  # least d >= lo with d = d0 (mod c/g)
+        counts = np.maximum((hi - first) // cg + 1, 0)
+        b_first = (a * first - m) // c
+        ends = np.cumsum(counts)
+        start = 0
+        while start < a.size:
+            # whole rows, at most _BLOCK points unless one row alone is longer
+            base = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
+            rows, n_rows = slice(start, stop), counts[start:stop]
+            start = stop
+            n_pts = int(ends[stop - 1]) - base
+            if not n_pts:
                 continue
-            a_m = np.broadcast_to(a, mask.shape)[mask]
-            d_m = d[mask]
-            b_m = b[mask]
-            mu1 = c * z1 * z2 + d_m * z2 - a_m * z1 - b_m
-            mu2 = c * z1 * z2b + d_m * z2b - a_m * z1 - b_m
-            vals.append(2.0 * complex(np.sum(term_fn(mu1, mu2))))
-    return tree_sum(vals)
+            step = np.arange(n_pts, dtype=np.int64)
+            step -= np.repeat(ends[rows] - n_rows - base, n_rows)
+            a_i = np.repeat(a[rows], n_rows)
+            d_i = np.repeat(first[rows], n_rows) + cg * step
+            b_i = np.repeat(b_first[rows], n_rows) + np.repeat(a_row[rows], n_rows) * step
+            mu1, mu2 = _mu_pair(z1, z2, c, a_i.astype(np.float64), b_i.astype(np.float64),
+                                d_i.astype(np.float64))
+            bucket = None
+            if live.size > 1:
+                ht = np.abs(b_i)
+                np.maximum(ht, np.abs(d_i), out=ht)
+                np.maximum(ht, np.abs(a_i), out=ht)
+                bucket = bucket_of[ht]
+            vals.append(2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size))
+    if vals:
+        total[heights.size - live.size:] = tree_sum(vals)
+    return np.cumsum(total)
 
 
-def ball_sum(z1: complex, z2: complex, m: int, H: int, term_fn: TermFn) -> complex:
-    """Sum term_fn(mu1, mu2) over all det-m matrices with height <= H.
+def ball_sum(z1: complex, z2: complex, m: int, heights, term_fn: TermFn) -> np.ndarray:
+    """Sum term_fn(mu1, mu2) over all det-m matrices with height <= h, for
+    every h in heights (one value per entry, in the given order).
 
-    One chunk per c in 0..H (see _chunk_value), combined along the fixed
-    reduction tree of chunked_sum.
+    One pass over the ball of the largest height: one chunk per c in
+    0..max(heights) (see _chunk_value), each giving every height at once,
+    combined along the fixed reduction tree of chunked_sum.  A given
+    heights tuple always gives the same bits.
     """
+    edges = np.unique(np.asarray(heights, dtype=np.int64))
 
-    def chunk(c: int) -> complex:
-        return _chunk_value(z1, z2, m, c, H, term_fn)
+    def chunk(c: int) -> np.ndarray:
+        return _chunk_value(z1, z2, m, c, edges, term_fn)
 
-    return chunked_sum(H + 1, chunk)
+    return chunked_sum(int(edges[-1]) + 1, chunk)[np.searchsorted(edges, heights)]
 
 
 def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
-    """Ball sum with the policy's refinement.
+    """Ball sum with the policy's refinement, every height from one ball_sum.
 
     The signed truncation error of the height ball behaves like
     alpha H^(-decay) (1 + O(1/H)); richardson (3 heights) and lsq (6
     geometric heights, averaging out the oscillation of the sharp height
     cut) take limit_fit on S(h) = S + alpha h^(-decay) + beta h^(-decay-1),
     independent of the Fourier-side closed forms.  The error is the shift
-    to a sub-fit plus 1e-3 of the distance from the largest ball.
+    to a sub-fit plus 1e-3 of the distance from the largest ball; with no
+    refinement (2 heights) it is the distance from the half-height ball.
     """
     H = policy.H
     if policy.refine == "none" or decay >= 3.0:
-        v_half = ball_sum(z1, z2, m, max(8, H // 2), term_fn)
-        v_full = ball_sum(z1, z2, m, H, term_fn)
-        err = abs(v_full - v_half)
-        return v_full, err
+        v_half, v_full = ball_sum(z1, z2, m, (max(8, H // 2), H), term_fn)
+        return complex(v_full), float(abs(v_full - v_half))
     powers = (0.0, -decay, -decay - 1.0)
     if policy.refine == "lsq":
         heights = [max(8, int(H * (1.0 / 2.5) ** (1 - i / 5.0))) for i in range(6)]
-        vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
+        vals = ball_sum(z1, z2, m, heights, term_fn)
         other = limit_fit(heights[:-1], vals[:-1], powers)
     else:
         heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
-        vals = [ball_sum(z1, z2, m, h, term_fn) for h in heights]
+        vals = ball_sum(z1, z2, m, heights, term_fn)
         other = limit_fit(heights[1:], vals[1:], powers[:2])
     fit = limit_fit(heights, vals, powers)
     err = abs(fit - other) + 1e-3 * abs(fit - vals[-1])
-    return fit, err
+    return fit, float(err)
 
 
 def limit_fit(xs, ys, powers) -> complex:
@@ -370,7 +457,7 @@ def s_series_direct(z: complex, n: int, s: float,
     The terms with |nu| <= B are summed and the rest is _line_tail of
     _inverse_expansion(z).  Below the abscissa (n + 1)/2 this returns the
     analytic continuation in s (with NotAbsolutelyConvergent); its poles,
-    s = (n + 1 - m)/2 for even m, raise PoleAt.
+    s = (n + 1 - m)/2 for m = n (mod 2), raise PoleAt.
     """
     z = nonzero_imag(z)
     policy = policy or TruncationPolicy()
@@ -408,7 +495,7 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     warnings = ("NotAbsolutelyConvergent",) if s <= (2.0 * n + 1.0) / 4.0 + _MARGIN else ()
     B = policy.B
     b = np.arange(-B, B + 1, dtype=np.float64)
-    terms = xi_term_fn(n, s)(z2 - z1 - b, np.conj(np.complex128(z2)) - z1 - b)
+    terms = _terms(xi_term_fn(n, s), z2 - z1 - b, np.conj(np.complex128(z2)) - z1 - b)
     e1 = _inverse_expansion(z2 - z1, n, s)
     e2 = _inverse_expansion(z2.conjugate() - z1, n, s)
     coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(_TAIL_ORDERS)]
@@ -437,7 +524,8 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
         vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, policy.C + 1)]
     else:
         term_fn = xi_term_fn(n, s)
-        vals = [_chunk_value(z1, z2, 1, c, policy.H, term_fn) / 2.0
+        height = np.array([policy.H])
+        vals = [complex(_chunk_value(z1, z2, 1, c, height, term_fn)[0]) / 2.0
                 for c in range(1, min(policy.C, policy.H) + 1)]
     value = tree_sum(vals)
     err = abs(vals[-1]) * len(vals) / 2.0 + policy.tol * 1e-3

@@ -159,13 +159,38 @@ class TestEval:
         ("s-series", "--z", "0.1+1.2i", "--n", "0", "--s", "0.5"),
         ("s-series", "--z", "0.1+1.2i", "--n", "2", "--s", "1.5"),
         ("xi0", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", "--n", "1", "--s", "0.75"),
-    ], ids=["s-series-n0", "s-series-n2", "xi0-n1"])
+        ("s-series", "--method", "fourier", "--z", "0.1+1.2i", "--n", "2", "--s", "1.5"),
+    ], ids=["s-series-n0", "s-series-n2", "xi0-n1", "s-series-fourier-n2"])
     def test_pole_is_numerical_error(self, capsys, argv):
         code, _, err = run_cli(capsys, "eval", *argv)
         assert code == 3
-        evaluator = "xi0_direct" if argv[0] == "xi0" else "s_series_direct"
+        evaluator = ("xi0_direct" if argv[0] == "xi0" else
+                     "s_series_fourier" if "fourier" in argv else "s_series_direct")
         assert "PoleAt" in err and evaluator in err and f"s = {argv[-1]}" in err
         assert "Hurwitz" not in err
+
+    def test_s_series_fourier_continues_below_abscissa(self, capsys):
+        # the Fourier route has the direct route's domain: s = 1 is the
+        # abscissa (n + 1)/2 for n = 1
+        code, out, _ = run_cli(capsys, "eval", "s-series", "--method", "fourier", "--z", "0.1+1.2i",
+                               "--n", "1", "--s", "1.0", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - (0.0019645759514 - 3.1442948840j)) < 1e-9
+        assert doc["warnings"] == ["NotAbsolutelyConvergent"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("xi0", "--z1", "0.1+1.2i", "--z2", "0.1+1.2i", "--n", "0", "--s", "2"),
+        ("xi", "--z1", "0.1+1.2i", "--z2", "1.1+1.2i", "--n", "1", "--s", "1.5", "--height", "50",
+         "--tol", "1e-2"),
+        ("xi", "--z1", "0+1i", "--z2", "0+1i", "--n", "1", "--s", "1.5", "--height", "50",
+         "--tol", "1e-2"),
+    ], ids=["xi0-identity", "xi-translation", "xi-identity"])
+    def test_diagonal_is_near_diagonal(self, capsys, argv):
+        code, _, err = run_cli(capsys, "eval", *argv)
+        assert code == 3
+        assert "NearDiagonal" in err
 
     def test_xi0_continuation_is_bmax_independent(self, capsys):
         values = []

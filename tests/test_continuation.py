@@ -22,6 +22,7 @@ from heckekernel.continuation import (
     xi_star,
     omega2,
 )
+from heckekernel.errors import PoleAt
 from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
@@ -63,7 +64,8 @@ class TestSSeriesFourier:
         assert abs(f5.value - f10.value) <= f5.err_estimate
 
     def test_rejects_convergence_boundary(self):
-        with pytest.raises(ValueError):
+        # s = (n + 1)/2 is a pole of the continuation for even n
+        with pytest.raises(PoleAt):
             s_series_fourier(1j, 2, 1.5)
 
 

@@ -30,8 +30,9 @@ from heckekernel.latsum import (
 from heckekernel.accumulate import tree_sum
 from heckekernel.arith import unit_inverse_table
 from heckekernel.continuation import alpha_const, beta_mode, s_series_fourier, shift_correction
+from heckekernel.errors import NearDiagonal
 from heckekernel.identities import psi_residue_fit
-from heckekernel.modforms import delta_value
+from heckekernel.modforms import delta_series, delta_value
 from heckekernel.types import FourierAssemblyConfig, IntMatrix2, TruncationPolicy
 
 Z1 = 0.1 + 1.2j
@@ -116,7 +117,7 @@ class TestBallSumEngine:
     def test_vectorized_engine_matches_enumeration(self, name, term_fn):
         H = 9
         ref = enum_term_sum(term_fn, Z1, Z2, 1, H)
-        val = ball_sum(Z1, Z2, 1, H, term_fn)
+        val = ball_sum(Z1, Z2, 1, (H,), term_fn)[0]
         assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 9, 12])
@@ -124,10 +125,30 @@ class TestBallSumEngine:
         term_fn = omega_term_fn(12)
         for H in (6, 13):
             ref = enum_term_sum(term_fn, Z1, Z2, m, H)
-            val = ball_sum(Z1, Z2, m, H, term_fn)
+            val = ball_sum(Z1, Z2, m, (H,), term_fn)[0]
             # |ref| is 1e-5 to 5e-10, so the relative bound is the real check
             assert abs(val - ref) < 1e-15, (m, H)
             assert abs(val - ref) <= 1e-13 * abs(ref), (m, H)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 12])
+    def test_counts_every_matrix_once(self, m):
+        def ones(mu1, mu2):
+            return np.ones(mu1.shape)
+
+        heights = tuple(range(1, 14))
+        counts = ball_sum(Z1, Z2, m, heights, ones)
+        for H, count in zip(heights, counts):
+            assert count == sum(1 for _ in enumerate_matrices(m, H)), (m, H)
+
+    @settings(max_examples=20, deadline=None)
+    @given(heights=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+           m=st.integers(1, 12))
+    def test_heights_tuple_matches_single_heights(self, heights, m):
+        fn = omega_term_fn(12) if m > 1 else xi_term_fn(1, 1.4)
+        vals = ball_sum(Z1, Z2, m, tuple(heights), fn)
+        for H, val in zip(heights, vals):
+            ref = ball_sum(Z1, Z2, m, (H,), fn)[0]
+            assert abs(val - ref) <= 1e-14 * abs(ref), (m, H)
 
 
 class TestOmega:
@@ -147,6 +168,18 @@ class TestOmega:
         lhs = omega_direct(-1 / z1, Z2, 12, 1, policy).value
         rhs = z1**12 * omega_direct(z1, Z2, 12, 1, policy).value
         assert abs(lhs - rhs) / abs(rhs) < 1e-4
+
+    @pytest.mark.parametrize("z1,z2", [(Z1, Z2), (0.2 + 1.3j, -0.45 + 1.05j)])
+    def test_hecke_relation_at_large_height(self, z1, z2):
+        # omega_m is the kernel of T(m) and S_12 is spanned by Delta, so
+        # omega_m = tau(m) m^(-11) omega_1 (Zagier); this pins the det-m
+        # kernel at a height enumerate_matrices cannot reach
+        tau = delta_series(6).coeffs
+        pol = TruncationPolicy(H=200, tol=1e-2)
+        w1 = omega_direct(z1, z2, 12, 1, pol).value
+        for m in range(2, 7):
+            wm = omega_direct(z1, z2, 12, m, pol).value
+            assert abs(wm - tau[m] * m**-11 * w1) <= 1e-12 * abs(wm), m
 
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
@@ -401,6 +434,19 @@ class TestDomainValidation:
         with pytest.raises(ValueError):
             s_series_direct(0.7, 0, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diagonal_raises_near_diagonal(self):
+        # mu1 = 0 for the identity (z1 = z2) or a translation (z2 = z1 + 1);
+        # omega's term depends on mu2 only and stays finite there
+        pol = TruncationPolicy(H=30, B=100, tol=1e-2, refine="none")
+        with pytest.raises(NearDiagonal):
+            xi_direct(Z1, Z1, 1, 1.5, pol)
+        with pytest.raises(NearDiagonal):
+            psi_direct(1, Z1, Z1 + 1, 1.4, pol)
+        with pytest.raises(NearDiagonal):
+            xi0_direct(1j, 1j, 0, 2.0, pol)
+        assert math.isfinite(abs(omega_direct(Z1, Z1, 12, 1, pol).value))
+
 
 class TestSSeries:
     def test_value_at_i(self):
@@ -481,6 +527,20 @@ class TestLineTails:
         assert abs(d - f) <= 1e-8 * abs(f)
 
     @settings(max_examples=25, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(0.2, 2.0), n=st.integers(0, 3),
+           ds=st.floats(-0.5, 0.0))
+    def test_s_series_continuations_agree(self, x, y, n, ds):
+        # below the abscissa both routes return the continuation; its poles
+        # are the half-odd s <= n // 2 + 1/2
+        s = (n + 1) / 2.0 + ds
+        assume(abs(s - 0.5 - round(s - 0.5)) >= 0.02)
+        z = complex(x, y)
+        d = s_series_direct(z, n, s, TruncationPolicy(B=2000, tol=1e-2))
+        f = s_series_fourier(z, n, s, R=40)
+        assert d.warnings == f.warnings == ("NotAbsolutelyConvergent",)
+        assert abs(d.value - f.value) <= 1e-10 * max(1.0, abs(f.value))
+
+    @settings(max_examples=25, deadline=None)
     @given(x1=st.floats(-0.5, 0.5), y1=st.floats(0.2, 2.0), x2=st.floats(-0.5, 0.5),
            y2=st.floats(0.2, 2.0), n=st.integers(0, 3), ds=st.floats(-0.2, 1.0))
     def test_xi0_is_b_independent(self, x1, y1, x2, y2, n, ds):
@@ -522,7 +582,7 @@ class TestOmegaN:
 class TestPsi:
     def test_positive_and_monotone_in_height(self):
         fn = psi_term_fn(1, 1.4)
-        vals = [ball_sum(Z1, Z2, 1, H, fn).real for H in (25, 50, 100, 200)]
+        vals = [ball_sum(Z1, Z2, 1, (H,), fn)[0].real for H in (25, 50, 100, 200)]
         assert all(v > 0 for v in vals)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
