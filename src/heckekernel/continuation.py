@@ -154,12 +154,12 @@ def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
     for c in range(1, C + 1):
         Z += kloosterman_matrix(c, r_arr, rp_arr) * c ** (-exponent)
     a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
-    tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(1, exponent, C)
+    tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
     return tuple(map(tuple, Z)), tuple(map(tuple, tails))
 
 
-def _weil_zeta_tail(a_min: int, exponent: float, C: int) -> float:
-    """sqrt(min gcd) * sum_{c > C} d(c) c^(1/2 - exponent), via zeta^2.
+def _weil_zeta_tail(exponent: float, C: int) -> float:
+    """sum_{c > C} d(c) c^(1/2 - exponent), via zeta^2.
 
     The partial sum runs left to right over c, as the trial-division sum
     sum(d(c) c^(-p) for c <= C) does, so the tail is bit-identical to it.
@@ -168,7 +168,7 @@ def _weil_zeta_tail(a_min: int, exponent: float, C: int) -> float:
     if p <= 1.0:
         return math.inf
     partial = sum(dc * c ** (-p) for c, dc in enumerate(divisor_sieve(C).tolist(), 1))
-    return math.sqrt(max(1, a_min)) * max(abs(zeta_fn(p)) ** 2 - partial, 0.0)
+    return max(abs(zeta_fn(p)) ** 2 - partial, 0.0)
 
 
 def kloosterman_zeta(r: int, rp: int, exponent: float, C: int = 4000,
@@ -376,19 +376,20 @@ def xi_fourier(z1: complex, z2: complex, n: int, s: float,
 # Extrapolation oracle
 
 
-def _extrapolated(s_target: float, samples: tuple, evaluate, policy) -> EvalResult:
+def _extrapolated(s_target: float, samples: tuple, evaluate, policy, a: float) -> EvalResult:
     """Polynomial extrapolation of evaluate(s) over the samples to s_target:
     limit_fit in x = s - s_target with powers 0..k-1 through the k samples.
 
-    Needs at least 3 distinct samples in (1, 1.8]; the lowest 5 are used
-    (degree at most 4).  The error estimate is the shift caused by dropping
-    the farthest sample, plus the sample evaluations' own estimates.
+    Needs at least 3 distinct samples in (a, a + 0.8], a at or above the
+    abscissa of evaluate; the lowest 5 are used (degree at most 4).  The
+    error estimate is the shift from dropping the farthest sample, plus the
+    sample evaluations' own estimates.
     """
     samples = tuple(sorted(set(float(s) for s in samples)))
     if len(samples) < 3:
         raise ValueError("need at least 3 extrapolation samples")
-    if any(s <= 1.0 or s > 1.8 for s in samples):
-        raise ValueError("samples must lie in (1, 1.8]")
+    if any(s <= a or s > a + 0.8 for s in samples):
+        raise ValueError(f"samples {samples} must lie in ({a:g}, {a + 0.8:g}], above the abscissa")
     samples = samples[:5]
     evals = [evaluate(s) for s in samples]
     ys = [e.value for e in evals]
@@ -400,19 +401,16 @@ def _extrapolated(s_target: float, samples: tuple, evaluate, policy) -> EvalResu
 
 
 def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
-                    samples: tuple = (1.2, 1.4, 1.6),
+                    samples: tuple | None = None,
                     policy: TruncationPolicy | None = None) -> EvalResult:
     """Polynomial extrapolation of direct sums in s down to s_target (see
-    _extrapolated for the sample rules and the error estimate).  Every
-    sample must lie above the direct sum's abscissa (n + 1)/2."""
-    abscissa = (n + 1) / 2.0
-    if any(s <= abscissa for s in samples):
-        raise ValueError(
-            f"xi_extrapolated at n = {n} needs every sample above the abscissa "
-            f"(n + 1)/2 = {abscissa:g}, got samples {tuple(samples)}"
-        )
+    _extrapolated) from samples in (a, a + 0.8], by default a + 0.2, a + 0.4
+    and a + 0.6, where a = max(1, (n + 1)/2) is the pole or the abscissa."""
+    a = max(1.0, (n + 1) / 2.0)
+    if samples is None:
+        samples = (a + 0.2, a + 0.4, a + 0.6)
     policy = policy or TruncationPolicy()
-    return _extrapolated(s_target, samples, lambda s: xi_direct(z1, z2, n, s, policy), policy)
+    return _extrapolated(s_target, samples, lambda s: xi_direct(z1, z2, n, s, policy), policy, a)
 
 
 def omega2(z1: complex, z2: complex, samples: tuple = (1.15, 1.25, 1.4, 1.6),
@@ -420,7 +418,7 @@ def omega2(z1: complex, z2: complex, samples: tuple = (1.15, 1.25, 1.4, 1.6),
     """omega_2 = lim_{s -> 1} Omega_1(z1, conj z2, s); vanishes (it is a
     weight-2 cusp form), so the value doubles as a residual diagnostic."""
     policy = policy or TruncationPolicy(H=800)
-    return _extrapolated(1.0, samples, lambda s: omega_n_direct(z1, z2, 1, s, policy), policy)
+    return _extrapolated(1.0, samples, lambda s: omega_n_direct(z1, z2, 1, s, policy), policy, 1.0)
 
 
 XI_STAR_COMPLETION = 24.0

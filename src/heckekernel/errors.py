@@ -32,7 +32,7 @@ class TailTooLarge(HeckeKernelError):
 
 
 class NotConverged(HeckeKernelError):
-    """A truncated sum failed its self-consistency (shell doubling) test."""
+    """A truncated sum's error estimate is far above its tolerance."""
 
 
 class NearDiagonal(HeckeKernelError):

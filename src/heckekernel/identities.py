@@ -17,7 +17,7 @@ import numpy as np
 from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix, weil_bound
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
-from .latsum import ball_sum, limit_fit, omega_direct, psi_term_fn, s_series_direct
+from .latsum import limit_fit, omega_direct, psi_direct, s_series_direct
 from .modforms import default_cache, delta_value
 from .special import zeta_fn
 from .types import CheckReport, FourierAssemblyConfig, TruncationPolicy
@@ -352,14 +352,10 @@ def _omega_on_grid(pts: np.ndarray, z2: complex, k: int, H: int) -> np.ndarray:
 
 
 def psi_residue_fit(z1: complex, z2: complex, which: int = 1,
-                    samples=(1.05, 1.08, 1.12, 1.18, 1.25),
-                    heights=(300, 600, 1200)) -> float:
-    """Fitted residue of Psi at s = 1: the height limit of each sample (all
-    heights from one ball_sum), then the constant term of a quadratic fit of
-    (s-1) Psi(s) in s - 1."""
-    rvals = []
-    for s in samples:
-        vals = ball_sum(z1, z2, 1, heights, psi_term_fn(which, s)).real
-        decay = 4.0 * s - 4.0
-        rvals.append((s - 1.0) * limit_fit(heights, vals, (0.0, -decay, -decay - 1.0)).real)
+                    samples=(1.05, 1.08, 1.12, 1.18, 1.25)) -> float:
+    """Fitted residue of Psi at s = 1: each sample is psi_direct at H = 1200
+    (the height limit and its error from the package's one truncation rule),
+    then the constant term of a quadratic fit of (s-1) Psi(s) in s - 1."""
+    policy = TruncationPolicy(H=1200, tol=1e-2)
+    rvals = [(s - 1.0) * psi_direct(which, z1, z2, s, policy).value.real for s in samples]
     return limit_fit([s - 1.0 for s in samples], rvals, (0, 1, 2)).real

@@ -283,33 +283,36 @@ def ball_sum(z1: complex, z2: complex, m: int, heights, term_fn: TermFn) -> np.n
     return chunked_sum(int(edges[-1]) + 1, chunk)[np.searchsorted(edges, heights)]
 
 
-def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
-    """Ball sum with the policy's refinement, every height from one ball_sum.
+def _cutoff_spread(H: int, values_at) -> tuple[complex, float]:
+    """R(H) and the one truncation-error rule of every height-ball sum: the
+    largest change of R as the cutoff drops to round(H 2^(-j/4)), j = 1..4,
+    between H/2 and H.  values_at maps the five cutoffs (H first) to R."""
+    vals = values_at([round(H * 2.0 ** (-j / 4.0)) for j in range(5)])
+    return complex(vals[0]), float(max(abs(vals[0] - v) for v in vals[1:]))
 
-    The signed truncation error of the height ball behaves like
-    alpha H^(-decay) (1 + O(1/H)); richardson (3 heights) and lsq (6
-    geometric heights, averaging out the oscillation of the sharp height
-    cut) take limit_fit on S(h) = S + alpha h^(-decay) + beta h^(-decay-1),
-    independent of the Fourier-side closed forms.  The error is the shift
-    to a sub-fit plus 1e-3 of the distance from the largest ball; with no
-    refinement (2 heights) it is the distance from the half-height ball.
-    """
-    H = policy.H
+
+def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
+    """Ball sum with the policy's refinement at each cutoff h of
+    _cutoff_spread, all heights from one ball_sum.  The truncation error
+    behaves like alpha H^(-decay) (1 + O(1/H)): richardson (heights h/2,
+    h/sqrt(2), h) and lsq (6 geometric heights from 0.4 h to h, averaging
+    out the oscillation of the sharp height cut) take limit_fit on
+    S + alpha h'^(-decay) + beta h'^(-decay-1); with no refinement (or
+    decay >= 3) the value at h is the raw ball sum."""
     if policy.refine == "none" or decay >= 3.0:
-        v_half, v_full = ball_sum(z1, z2, m, (max(8, H // 2), H), term_fn)
-        return complex(v_full), float(abs(v_full - v_half))
-    powers = (0.0, -decay, -decay - 1.0)
-    if policy.refine == "lsq":
-        heights = [max(8, int(H * (1.0 / 2.5) ** (1 - i / 5.0))) for i in range(6)]
-        vals = ball_sum(z1, z2, m, heights, term_fn)
-        other = limit_fit(heights[:-1], vals[:-1], powers)
-    else:
-        heights = [max(8, H // 2), max(10, int(H / 2**0.5)), H]
-        vals = ball_sum(z1, z2, m, heights, term_fn)
-        other = limit_fit(heights[1:], vals[1:], powers[:2])
-    fit = limit_fit(heights, vals, powers)
-    err = abs(fit - other) + 1e-3 * abs(fit - vals[-1])
-    return fit, float(err)
+        return _cutoff_spread(policy.H, lambda hs: ball_sum(z1, z2, m, hs, term_fn))
+
+    def values_at(cutoffs):
+        if policy.refine == "lsq":
+            groups = [[int(h * 0.4 ** (1 - i / 5.0)) for i in range(6)] for h in cutoffs]
+        else:
+            groups = [[h // 2, int(h / 2**0.5), h] for h in cutoffs]
+        if groups[-1][0] < 1:
+            raise ValueError(f"H = {policy.H} is too small for refine = {policy.refine!r}")
+        vals = iter(ball_sum(z1, z2, m, [h for g in groups for h in g], term_fn))
+        return [limit_fit(g, [next(vals) for _ in g], (0.0, -decay, -decay - 1.0)) for g in groups]
+
+    return _cutoff_spread(policy.H, values_at)
 
 
 def limit_fit(xs, ys, powers) -> complex:
@@ -345,25 +348,24 @@ def _converged_result(value, err, policy, tol, warnings=()) -> EvalResult:
     return EvalResult(value=value, err_estimate=err, method="direct", policy=policy, warnings=warnings)
 
 
+def _abscissa_warnings(s: float, abscissa: float) -> tuple:
+    """ValueError where a series in s diverges, else its warnings."""
+    if s <= abscissa:
+        raise ValueError(f"the direct sum converges only for s > {abscissa}, got s = {s}")
+    return ("NotAbsolutelyConvergent",) if s <= abscissa + _MARGIN else ()
+
+
 def _direct_result(z1: complex, z2: complex, policy: TruncationPolicy | None, term_fn: TermFn,
                    decay: float, m: int = 1, s: float | None = None,
                    abscissa: float = 0.0) -> EvalResult:
     """Refined height-ball sum of term_fn over det-m matrices, shared by the
-    direct evaluators.
-
-    decay is the power of H in the truncation error.  A series in s that
-    converges only for s > abscissa raises ValueError for s <= abscissa and
-    carries the NotAbsolutelyConvergent warning when s <= abscissa + _MARGIN.
-    """
+    direct evaluators; decay is the power of H in the truncation error and a
+    series in s converges only for s > abscissa (_abscissa_warnings)."""
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     z1, z2 = _normalize_pair(z1, z2)
     policy = policy or TruncationPolicy()
-    warnings = ()
-    if s is not None and s <= abscissa:
-        raise ValueError(f"the direct sum converges only for s > {abscissa}, got s = {s}")
-    if s is not None and s <= abscissa + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
+    warnings = () if s is None else _abscissa_warnings(s, abscissa)
     value, err = _refined_ball_value(z1, z2, m, policy, term_fn, decay)
     return _converged_result(value, err, policy, policy.tol, warnings)
 
@@ -505,30 +507,33 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
 
 def xic_direct(z1: complex, z2: complex, n: int, s: float,
                policy: TruncationPolicy | None = None, shifted: bool = False) -> EvalResult:
-    """The c > 0 part of Xi_n, one c at a time for c = 1..C.
+    """The c > 0 part of Xi_n, one c at a time for c = 1..C (s > (n + 1)/2).
 
     Unshifted sums the true terms over the height ball with xi_direct's
     chunk kernel, halved (xi_direct pairs c with -c), so xi0 + 2 xic
-    reproduces xi_direct at matched cutoffs; C is capped at H.  Shifted
-    drops the 1/c offset of both kernels (the series whose Fourier
-    expansion is assembled in closed form) and sums xic_slice's
-    rectangular |k|, |l| <= H windows.
+    reproduces xi_direct at matched cutoffs; C is capped at H and scales with
+    it in the error, _cutoff_spread of the raw sums in H.  Shifted drops the
+    1/c offset of both kernels (the Fourier-assembled series), sums
+    xic_slice's rectangular |k|, |l| <= H windows and takes _cutoff_spread
+    of the partial sums in C.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
-    warnings = ()
-    if s <= (n + 1) / 2.0 + _MARGIN:
-        warnings = ("NotAbsolutelyConvergent",)
+    warnings = _abscissa_warnings(s, (n + 1) / 2.0)
     if shifted:
         vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, policy.C + 1)]
+        value, err = _cutoff_spread(policy.C, lambda cs: [tree_sum(vals[:c]) for c in cs])
     else:
         term_fn = xi_term_fn(n, s)
-        height = np.array([policy.H])
-        vals = [complex(_chunk_value(z1, z2, 1, c, height, term_fn)[0]) / 2.0
-                for c in range(1, min(policy.C, policy.H) + 1)]
-    value = tree_sum(vals)
-    err = abs(vals[-1]) * len(vals) / 2.0 + policy.tol * 1e-3
+
+        def values_at(hs):
+            edges, cm = np.unique(hs), min(policy.C, policy.H)
+            chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
+            return [tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
+                    for h in hs]
+
+        value, err = _cutoff_spread(policy.H, values_at)
     return _converged_result(value, err, policy, policy.tol, warnings)
 
 

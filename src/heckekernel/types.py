@@ -89,10 +89,10 @@ class TruncationPolicy:
     tol    requested tolerance (in (0, 1e-2]),
     workers  validated and echoed in the JSON policy; evaluation is serial,
              so it changes no value and no timing,
-    refine   tail handling for slowly decaying matrix sums:
-             "richardson" (3-point power-law extrapolation in the height),
-             "lsq" (least-squares power-law fit over six heights), or
-             "none" (raw truncated sum with a shell-doubling estimate).
+    refine   height limit of slowly decaying matrix sums: "richardson"
+             (3-height power-law fit), "lsq" (least-squares fit over six
+             heights) or "none" (the raw sum); the error estimate is the
+             largest change as H drops to H 2^(-j/4), j = 1..4.
     """
 
     H: int = 400

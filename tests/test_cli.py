@@ -120,7 +120,10 @@ class TestEval:
         ("omega", "--k", "3"),
         ("omega-n", "--n", "2", "--s", "1.3", "--height", "60"),
         ("psi1", "--s", "0.9", "--height", "60"),
-    ], ids=["omega-odd-k", "omega-n-divergent", "psi1-divergent"])
+        ("xic", "--n", "1", "--s", "0.9", "--tol", "1e-2"),
+        ("xic", "--shifted", "--n", "0", "--s", "0.4", "--height", "100"),
+    ], ids=["omega-odd-k", "omega-n-divergent", "psi1-divergent", "xic-divergent",
+            "xic-shifted-divergent"])
     def test_invalid_target_value_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, "eval", argv[0], "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
                                *argv[1:])
@@ -138,14 +141,14 @@ class TestEval:
         assert code == 3
         assert "numerical error" in err
 
-    def test_extrapolate_below_abscissa_is_usage_error(self, capsys):
-        code, _, err = run_cli(
+    def test_extrapolate_samples_above_abscissa(self, capsys):
+        # at n = 2 the default samples (1.7, 1.9, 2.1) lie above the direct
+        # sum's abscissa 3/2
+        code, _, _ = run_cli(
             capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", "--method",
-            "extrapolate", "--n", "2", "--s", "1.7", "--height", "100", "--tol", "1e-2",
+            "extrapolate", "--n", "2", "--s", "1.7", "--height", "200", "--tol", "1e-2",
         )
-        assert code == 2
-        assert err.startswith("usage error:")
-        assert "n = 2" in err and "1.5" in err and "(1.2, 1.4, 1.6)" in err
+        assert code == 0
 
     def test_s_series_at_cancelled_leading_order(self, capsys):
         # the nu^(-1) order of S_1 cancels between nu and -nu at s = 1

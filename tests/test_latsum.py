@@ -39,6 +39,11 @@ Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
 
 
+@pytest.fixture(scope="module")
+def xi_reference():
+    return xi_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=900, tol=1e-2, refine="lsq"))
+
+
 def brute_count(m, H):
     count = 0
     for a in range(-H, H + 1):
@@ -181,6 +186,15 @@ class TestOmega:
             wm = omega_direct(z1, z2, 12, m, pol).value
             assert abs(wm - tau[m] * m**-11 * w1) <= 1e-12 * abs(wm), m
 
+    @pytest.mark.parametrize("refine", ["richardson", "lsq"])
+    @pytest.mark.parametrize("H", [100, 200])
+    @pytest.mark.parametrize("z1,z2", [(Z1, Z2), (0.2 + 1.3j, -0.45 + 1.05j)])
+    def test_weight_four_vanishes_within_estimate(self, z1, z2, H, refine):
+        # S_4 = 0, so the weight-4 kernel is 0 and its truncation error is
+        # the whole value
+        r = omega_direct(z1, z2, 4, 1, TruncationPolicy(H=H, tol=1e-2, refine=refine))
+        assert abs(r.value) <= r.err_estimate
+
     def test_rejects_odd_weight(self):
         with pytest.raises(ValueError):
             omega_direct(Z1, Z2, 11)
@@ -212,6 +226,14 @@ class TestXi:
         val = xic_direct(Z1, Z2, n, s, pol, shifted=False).value
         assert abs(val - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("C", [10, 50])
+    def test_xic_estimate_covers_c_cutoff(self, C):
+        # the c-cutoff drops with the height in the estimate, so a C below H
+        # shows in it
+        r = xic_direct(Z1, Z2, 1, 1.6, TruncationPolicy(H=200, C=C, refine="none", tol=1e-2))
+        ref = xic_direct(Z1, Z2, 1, 1.6, TruncationPolicy(H=400, C=400, refine="none", tol=1e-2))
+        assert abs(r.value - ref.value) <= r.err_estimate + ref.err_estimate
+
     def test_direct_sums_raise_where_they_diverge(self):
         pol = TruncationPolicy(H=60, refine="none", tol=1e-2)
         with pytest.raises(ValueError):
@@ -242,6 +264,33 @@ class TestXi:
         r = xi_direct(Z1, Z2, 1, 1.05, pol)
         assert "NotAbsolutelyConvergent" in r.warnings
         assert "NotAbsolutelyConvergent" in xi_direct(Z1, Z2, 1, 1.1, pol).warnings
+
+    @pytest.mark.parametrize("refine,H", [
+        ("richardson", 11), ("richardson", 16), ("richardson", 20), ("richardson", 30),
+        ("lsq", 14), ("lsq", 16), ("lsq", 30), ("lsq", 40),
+    ])
+    def test_small_height_within_estimate(self, refine, H, xi_reference):
+        r = xi_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=H, tol=1e-2, refine=refine))
+        assert abs(r.value - xi_reference.value) <= r.err_estimate + xi_reference.err_estimate
+
+    @pytest.mark.parametrize("refine,H", [("lsq", 5), ("richardson", 2)])
+    def test_fit_refuses_too_small_height(self, refine, H):
+        # a fit height of 0 at the lowest cutoff would divide by zero
+        with pytest.raises(ValueError, match="too small"):
+            xi_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=H, tol=1e-2, refine=refine))
+
+    @settings(max_examples=20, deadline=None)
+    @given(x1=st.floats(-0.5, 0.49), x2=st.floats(-0.5, 0.49), ly1=st.floats(0.0, math.log(2.0)),
+           ly2=st.floats(0.0, math.log(2.0)), n=st.integers(0, 1), decay=st.floats(1.5, 2.99),
+           H=st.integers(80, 200), refine=st.sampled_from(["richardson", "lsq"]))
+    def test_estimate_covers_error(self, x1, x2, ly1, ly2, n, decay, H, refine):
+        # decay = 4s - 2n - 2 is the power of H in the truncation error
+        z1, z2 = complex(x1, math.exp(ly1)), complex(x2, math.exp(ly2))
+        assume(abs(z1 - z2) >= 0.1)  # away from the diagonal, where mu1 = 0
+        s = (decay + 2 * n + 2) / 4.0
+        r = xi_direct(z1, z2, n, s, TruncationPolicy(H=H, tol=1e-2, refine=refine))
+        ref = xi_direct(z1, z2, n, s, TruncationPolicy(H=4 * H, tol=1e-2, refine="lsq"))
+        assert abs(r.value - ref.value) <= r.err_estimate + ref.err_estimate
 
     def test_tol_halving_consistency(self):
         pol_lo = TruncationPolicy(H=150, tol=1e-2)
