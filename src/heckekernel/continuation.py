@@ -45,16 +45,12 @@ import numpy as np
 
 from .accumulate import tree_sum
 from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix
-from .errors import PoleAt, TailTooLarge
+from .errors import PoleAt
 from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
-from .latsum import limit_fit, omega_n_direct, xi0_direct, xi_direct, xic_slice
-from .types import (
-    EvalResult,
-    FourierAssemblyConfig,
-    PhiArgs,
-    TruncationPolicy,
-    upper_half,
-)
+from .latsum import (convergence_warnings, limit_fit, omega_n_direct, xi0_direct, xi_direct,
+                     xic_slice)
+from .types import (EvalResult, FourierAssemblyConfig, PhiArgs, TruncationPolicy, accept,
+                    nonzero_imag, upper_half)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -107,17 +103,15 @@ def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
     """S_n(z, 0, s) through its Fourier expansion.
 
     The expansion is finite below the abscissa (n + 1)/2 too, where it is
-    the analytic continuation in s that s_series_direct also returns (with
-    NotAbsolutelyConvergent); its poles, s = (n + 1 - m)/2 for m = n
-    (mod 2), are the poles of alpha_const and raise PoleAt.
+    the analytic continuation in s that s_series_direct also returns; both
+    warn by latsum.convergence_warnings.  Its poles, s = (n + 1 - m)/2 for
+    m = n (mod 2), are the poles of alpha_const and raise PoleAt.
     """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("z must have nonzero imaginary part")
+    z = nonzero_imag(z)
     conjugate = z.imag < 0
     if conjugate:
         z = z.conjugate()
-    warnings = ("NotAbsolutelyConvergent",) if s <= (n + 1) / 2.0 else ()
+    warnings = convergence_warnings(s, (n + 1) / 2.0)
     y = z.imag
     x = z.real
     try:
@@ -367,9 +361,7 @@ def xi_fourier(z1: complex, z2: complex, n: int, s: float,
     corr, corr_err = shift_correction(z1, z2, n, s, cfg)
     value = xi0.value + 2.0 * (tilde + corr)
     err = xi0.err_estimate + 2.0 * (tilde_err + corr_err)
-    if err > max(cfg.tol, 1e-12) * 1e6:
-        raise TailTooLarge(f"assembly error estimate {err:.3e} out of control")
-    return EvalResult(value=value, err_estimate=err, method="fourier", policy=cfg)
+    return accept(value, err, "fourier", cfg.tol, cfg)
 
 
 # ---------------------------------------------------------------------------

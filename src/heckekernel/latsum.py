@@ -27,9 +27,9 @@ import numpy as np
 
 from .accumulate import chunked_sum, tree_sum
 from .arith import unit_inverse_table
-from .errors import NearDiagonal, NotConverged, PoleAt
+from .errors import NearDiagonal, PoleAt
 from .special import hurwitz_tail
-from .types import EvalResult, IntMatrix2, TruncationPolicy, nonzero_imag, upper_half
+from .types import EvalResult, IntMatrix2, TruncationPolicy, accept, nonzero_imag, upper_half
 
 _MARGIN = 0.1
 _BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
@@ -129,18 +129,17 @@ def psi_term_fn(which: int, s: float) -> TermFn:
 
 
 def _terms(term_fn: TermFn, mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """term_fn(mu1, mu2); NearDiagonal where a term is singular at mu1 = 0.
+    """term_fn(mu1, mu2); NearDiagonal where a term is not finite.
 
-    mu1 = 0 means z2 is the image of z1 under a det-m matrix (z1 = z2 for
-    the identity): the xi, omega_n and psi terms divide by |mu1| there,
-    while omega's mu2-only term stays finite and is summed as usual.
+    Only a zero (or underflowing) |mu1| does that: z2 is, to double
+    precision, the image of z1 under a det-m matrix (z1 = z2 for the
+    identity).  The xi, omega_n and psi terms divide by |mu1| there, while
+    omega's mu2-only term stays finite and is summed as usual.
     """
-    if mu1.all():
-        return term_fn(mu1, mu2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         terms = term_fn(mu1, mu2)
     if not np.isfinite(terms).all():
-        raise NearDiagonal("mu1 = 0: z2 is the image of z1 under a lattice matrix")
+        raise NearDiagonal("term not finite: z2 is (nearly) the image of z1 under a lattice matrix")
     return terms
 
 
@@ -283,36 +282,36 @@ def ball_sum(z1: complex, z2: complex, m: int, heights, term_fn: TermFn) -> np.n
     return chunked_sum(int(edges[-1]) + 1, chunk)[np.searchsorted(edges, heights)]
 
 
-def _cutoff_spread(H: int, values_at) -> tuple[complex, float]:
-    """R(H) and the one truncation-error rule of every height-ball sum: the
-    largest change of R as the cutoff drops to round(H 2^(-j/4)), j = 1..4,
-    between H/2 and H.  values_at maps the five cutoffs (H first) to R."""
-    vals = values_at([round(H * 2.0 ** (-j / 4.0)) for j in range(5)])
-    return complex(vals[0]), float(max(abs(vals[0] - v) for v in vals[1:]))
+def _ladder(H: int) -> list[int]:
+    """The one height ladder h_j = round(H 2^(-j/4)), j = 0..9: the cutoffs
+    h_0..h_4 of _cutoff_spread and the fit heights h_j..h_(j+5) at each."""
+    return [round(H * 2.0 ** (-j / 4.0)) for j in range(10)]
+
+
+def _cutoff_spread(vals) -> tuple[complex, float]:
+    """R(h_0) and the one truncation-error rule of every height-ball sum:
+    the largest change of R as the cutoff drops along the ladder to
+    h_1..h_4, between H/2 and H.  vals holds R at h_0..h_4."""
+    return complex(vals[0]), float(max(abs(vals[0] - v) for v in vals[1:5]))
 
 
 def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
-    """Ball sum with the policy's refinement at each cutoff h of
-    _cutoff_spread, all heights from one ball_sum.  The truncation error
-    behaves like alpha H^(-decay) (1 + O(1/H)): richardson (heights h/2,
-    h/sqrt(2), h) and lsq (6 geometric heights from 0.4 h to h, averaging
-    out the oscillation of the sharp height cut) take limit_fit on
-    S + alpha h'^(-decay) + beta h'^(-decay-1); with no refinement (or
-    decay >= 3) the value at h is the raw ball sum."""
+    """Ball sum with the policy's refinement at each cutoff h_0..h_4 of
+    _cutoff_spread, every rung of the _ladder from one ball_sum.  The
+    truncation error behaves like alpha H^(-decay) (1 + O(1/H)): lsq fits
+    S + alpha h^(-decay) + beta h^(-decay-1) over the rungs h_j..h_(j+5)
+    (limit_fit), averaging out the oscillation of the sharp height cut.
+    With no refinement (or decay >= 3) the value is the raw ball sum and
+    the spread is divided by 1 - 2^(-decay), as a slow tail exceeds it."""
+    rungs = _ladder(policy.H)
     if policy.refine == "none" or decay >= 3.0:
-        return _cutoff_spread(policy.H, lambda hs: ball_sum(z1, z2, m, hs, term_fn))
-
-    def values_at(cutoffs):
-        if policy.refine == "lsq":
-            groups = [[int(h * 0.4 ** (1 - i / 5.0)) for i in range(6)] for h in cutoffs]
-        else:
-            groups = [[h // 2, int(h / 2**0.5), h] for h in cutoffs]
-        if groups[-1][0] < 1:
-            raise ValueError(f"H = {policy.H} is too small for refine = {policy.refine!r}")
-        vals = iter(ball_sum(z1, z2, m, [h for g in groups for h in g], term_fn))
-        return [limit_fit(g, [next(vals) for _ in g], (0.0, -decay, -decay - 1.0)) for g in groups]
-
-    return _cutoff_spread(policy.H, values_at)
+        value, spread = _cutoff_spread(ball_sum(z1, z2, m, rungs[:5], term_fn))
+        return value, spread / (1.0 - 2.0 ** -decay)
+    if min(len(set(rungs[j:j + 6])) for j in range(5)) < 3:  # one per power
+        raise ValueError(f"H = {policy.H} is too small for a fitted sum (need H >= 6)")
+    sums = ball_sum(z1, z2, m, rungs, term_fn)
+    return _cutoff_spread([limit_fit(rungs[j:j + 6], sums[j:j + 6], (0.0, -decay, -decay - 1.0))
+                           for j in range(5)])
 
 
 def limit_fit(xs, ys, powers) -> complex:
@@ -339,20 +338,18 @@ def _normalize_pair(z1: complex, z2: complex) -> tuple[complex, complex]:
     return z1 - k, z2 - k
 
 
-def _converged_result(value, err, policy, tol, warnings=()) -> EvalResult:
-    scale = max(1.0, abs(value))
-    if not math.isfinite(err) or err > 1000.0 * max(tol, 1e-12) * scale:
-        raise NotConverged(
-            f"err estimate {err:.3e} far above tolerance {tol:.1e} (|value| ~ {abs(value):.3e})"
-        )
-    return EvalResult(value=value, err_estimate=err, method="direct", policy=policy, warnings=warnings)
+def convergence_warnings(s: float, abscissa: float) -> tuple:
+    """The warnings of a series in s that converges absolutely for
+    s > abscissa: NotAbsolutelyConvergent below it (where the continuation
+    is returned) and within _MARGIN above it."""
+    return ("NotAbsolutelyConvergent",) if s <= abscissa + _MARGIN else ()
 
 
 def _abscissa_warnings(s: float, abscissa: float) -> tuple:
     """ValueError where a series in s diverges, else its warnings."""
     if s <= abscissa:
         raise ValueError(f"the direct sum converges only for s > {abscissa}, got s = {s}")
-    return ("NotAbsolutelyConvergent",) if s <= abscissa + _MARGIN else ()
+    return convergence_warnings(s, abscissa)
 
 
 def _direct_result(z1: complex, z2: complex, policy: TruncationPolicy | None, term_fn: TermFn,
@@ -367,7 +364,7 @@ def _direct_result(z1: complex, z2: complex, policy: TruncationPolicy | None, te
     policy = policy or TruncationPolicy()
     warnings = () if s is None else _abscissa_warnings(s, abscissa)
     value, err = _refined_ball_value(z1, z2, m, policy, term_fn, decay)
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return accept(value, err, "direct", policy.tol, policy, warnings)
 
 
 def omega_direct(z1: complex, z2: complex, k: int, m: int = 1,
@@ -449,7 +446,7 @@ def _line_result(terms: np.ndarray, weight: float, coefs, p: float, B: int, pari
         raise PoleAt(where, f"{where}: the continued series has a pole at this s") from None
     value = weight * (complex(np.sum(terms)) + tail)
     err = weight * tail_err + 2e-16 * float(np.sum(np.abs(terms)))
-    return _converged_result(value, err, policy, policy.tol, warnings)
+    return accept(value, err, "direct", policy.tol, policy, warnings)
 
 
 def s_series_direct(z: complex, n: int, s: float,
@@ -463,7 +460,7 @@ def s_series_direct(z: complex, n: int, s: float,
     """
     z = nonzero_imag(z)
     policy = policy or TruncationPolicy()
-    warnings = ("NotAbsolutelyConvergent",) if s <= (n + 1) / 2.0 + _MARGIN else ()
+    warnings = convergence_warnings(s, (n + 1) / 2.0)
     B = policy.B
     nu = np.arange(-B, B + 1, dtype=np.float64)
     base = np.conj(np.complex128(z)) + nu
@@ -494,7 +491,7 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
-    warnings = ("NotAbsolutelyConvergent",) if s <= (2.0 * n + 1.0) / 4.0 + _MARGIN else ()
+    warnings = convergence_warnings(s, (2.0 * n + 1.0) / 4.0)
     B = policy.B
     b = np.arange(-B, B + 1, dtype=np.float64)
     terms = _terms(xi_term_fn(n, s), z2 - z1 - b, np.conj(np.complex128(z2)) - z1 - b)
@@ -523,18 +520,15 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     warnings = _abscissa_warnings(s, (n + 1) / 2.0)
     if shifted:
         vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, policy.C + 1)]
-        value, err = _cutoff_spread(policy.C, lambda cs: [tree_sum(vals[:c]) for c in cs])
+        value, err = _cutoff_spread([tree_sum(vals[:c]) for c in _ladder(policy.C)[:5]])
     else:
-        term_fn = xi_term_fn(n, s)
-
-        def values_at(hs):
-            edges, cm = np.unique(hs), min(policy.C, policy.H)
-            chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
-            return [tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
-                    for h in hs]
-
-        value, err = _cutoff_spread(policy.H, values_at)
-    return _converged_result(value, err, policy, policy.tol, warnings)
+        term_fn, hs = xi_term_fn(n, s), _ladder(policy.H)[:5]
+        edges, cm = np.unique(hs), min(policy.C, policy.H)
+        chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
+        value, err = _cutoff_spread([
+            tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
+            for h in hs])
+    return accept(value, err, "direct", policy.tol, policy, warnings)
 
 
 def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,

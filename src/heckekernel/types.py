@@ -6,8 +6,11 @@ validates them at API boundaries instead of wrapping them in a class.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
+
+from .errors import NotConverged
 
 
 def upper_half(z: complex, name: str = "z") -> complex:
@@ -89,10 +92,10 @@ class TruncationPolicy:
     tol    requested tolerance (in (0, 1e-2]),
     workers  validated and echoed in the JSON policy; evaluation is serial,
              so it changes no value and no timing,
-    refine   height limit of slowly decaying matrix sums: "richardson"
-             (3-height power-law fit), "lsq" (least-squares fit over six
-             heights) or "none" (the raw sum); the error estimate is the
-             largest change as H drops to H 2^(-j/4), j = 1..4.
+    refine   height limit of slowly decaying matrix sums: "lsq" (the
+             least-squares power-law fit over six cutoffs of the height
+             ladder H 2^(-j/4)) or "none" (the raw sum); the error estimate
+             is the largest change as H drops to H 2^(-j/4), j = 1..4.
     """
 
     H: int = 400
@@ -101,7 +104,7 @@ class TruncationPolicy:
     R: int = 8
     tol: float = 1e-6
     workers: int = 1
-    refine: str = "richardson"
+    refine: str = "lsq"
 
     def __post_init__(self):
         if min(self.H, self.B, self.C, self.R) < 1:
@@ -110,7 +113,7 @@ class TruncationPolicy:
             raise ValueError(f"tol must be in (0, 1e-2], got {self.tol}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.refine not in ("richardson", "lsq", "none"):
+        if self.refine not in ("lsq", "none"):
             raise ValueError(f"unknown refine mode {self.refine!r}")
 
 
@@ -166,6 +169,17 @@ class EvalResult:
             raise ValueError(f"unknown method tag {self.method!r}")
         if not (self.err_estimate >= 0.0 and self.err_estimate == self.err_estimate):
             raise ValueError("err_estimate must be finite and nonnegative")
+
+
+def accept(value: complex, err: float, method: str, tol: float, policy=None,
+           warnings: tuple = ()) -> EvalResult:
+    """The acceptance gate of every route: the EvalResult, or NotConverged
+    where the value is not finite or err (nan and inf fail the comparison)
+    exceeds min(1000 tol, 0.1) max(1, |value|), leaving the value meaningless."""
+    if not (cmath.isfinite(value) and err <= min(1000.0 * tol, 0.1) * max(1.0, abs(value))):
+        raise NotConverged(f"{method} err estimate {err:.3e} far above tolerance {tol:.1e} "
+                           f"(|value| ~ {abs(value):.3e})")
+    return EvalResult(value=value, err_estimate=err, method=method, policy=policy, warnings=warnings)
 
 
 def _format_float(x: float) -> float:

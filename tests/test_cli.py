@@ -74,6 +74,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["method"] == "fourier"
 
+    def test_fourier_estimate_comparable_to_value_is_numerical_error(self, capsys):
+        # Im z1 = 0.15 needs far more than C = 1500: the estimate (~64) is
+        # as large as the value, which the direct route puts ~50 away
+        code, _, err = run_cli(
+            capsys, "eval", "xi", "--z1", "0.1+0.15i", "--z2", "-0.3+0.9i", "--n", "1",
+            "--s", "1.5", "--method", "fourier", "--cmax", "1500", "--tol", "1e-2",
+        )
+        assert code == 3
+        assert "NotConverged" in err
+
     def test_round_trip_byte_identical(self, capsys):
         argv = ("eval", "s-series", "--z", "0.3+1.1i", "--n", "0", "--s", "2.0",
                 "--bmax", "5000", "--json")
@@ -181,6 +191,18 @@ class TestEval:
         doc = json.loads(out)
         assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - (0.0019645759514 - 3.1442948840j)) < 1e-9
         assert doc["warnings"] == ["NotAbsolutelyConvergent"]
+
+    def test_s_series_methods_warn_alike(self, capsys):
+        # s = 1.05 lies within the warning margin above the abscissa 1
+        docs = []
+        for method in ("direct", "fourier"):
+            code, out, _ = run_cli(capsys, "eval", "s-series", "--z", "0.1+1.2i", "--n", "1",
+                                   "--s", "1.05", "--method", method, "--json")
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["warnings"] == docs[1]["warnings"] == ["NotAbsolutelyConvergent"]
+        values = [complex(d["value"]["re"], d["value"]["im"]) for d in docs]
+        assert abs(values[0] - values[1]) < 1e-9
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
