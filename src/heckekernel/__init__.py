@@ -8,7 +8,6 @@ from .errors import (
     HeckeKernelError,
     NearDiagonal,
     NotConverged,
-    NotInvertible,
     PoleAt,
     PrecisionLoss,
     TailTooLarge,
@@ -19,7 +18,6 @@ from .types import (
     EvalResult,
     FourierAssemblyConfig,
     IntMatrix2,
-    KloostermanParams,
     PhiArgs,
     TruncationPolicy,
 )
@@ -31,10 +29,8 @@ __all__ = [
     "FourierAssemblyConfig",
     "HeckeKernelError",
     "IntMatrix2",
-    "KloostermanParams",
     "NearDiagonal",
     "NotConverged",
-    "NotInvertible",
     "PhiArgs",
     "PoleAt",
     "PrecisionLoss",

@@ -25,8 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import NotInvertible, PrecisionLoss
-from .types import KloostermanParams
+from .errors import PrecisionLoss
 
 _INT_TOL = 1e-9
 
@@ -97,22 +96,6 @@ def divisor_sigma(exponent: complex, r: int) -> complex:
     return total
 
 
-def mod_inverse(m: int, c: int) -> int:
-    """Inverse of m modulo c, represented in 1..c.
-
-    Raises NotInvertible when gcd(m, c) != 1.  For c = 1 every integer is
-    congruent to 0, and 1 is returned as the canonical representative.
-    """
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    if c == 1:
-        return 1
-    if math.gcd(m, c) != 1:
-        raise NotInvertible(f"{m} is not invertible mod {c}")
-    inv = pow(m % c, -1, c)
-    return inv if inv != 0 else c
-
-
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (units, inverses) of residues 1..c coprime to c.
 
@@ -168,15 +151,6 @@ def ramanujan_sum(c: int, r: int) -> int:
             f"C_{c}({r}) = {val} deviates from an integer by >= {_INT_TOL}"
         )
     return int(nearest)
-
-
-def kloosterman(p: KloostermanParams) -> complex:
-    """Kloosterman sum K(a, b; c) = sum over units m of e((a m + b m*)/c)."""
-    return complex(kloosterman_matrix(p.c, [p.a], [p.b])[0, 0])
-
-
-def kloosterman_abc(a: int, b: int, c: int) -> complex:
-    return kloosterman(KloostermanParams(a, b, c))
 
 
 def weil_bound(a: int, b: int, c: int) -> float:

@@ -25,7 +25,6 @@ from .errors import HeckeKernelError, UsageError
 from .types import (
     EvalResult,
     FourierAssemblyConfig,
-    KloostermanParams,
     TruncationPolicy,
     complex_to_json,
     _format_float,
@@ -223,7 +222,7 @@ def _run_table(args) -> int:
         a = args.a if args.a is not None else 1
         b = args.b if args.b is not None else 1
         cmax = args.cmax or 20
-        rows = [(c, arith.kloosterman(KloostermanParams(a, b, c)).real) for c in range(1, cmax + 1)]
+        rows = [(c, arith.kloosterman_matrix(c, [a], [b])[0, 0].real) for c in range(1, cmax + 1)]
         header = ("c", f"K({a},{b};c)")
     elif args.name == "ramanujan":
         r = args.r if args.r is not None else 1

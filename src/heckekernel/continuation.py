@@ -165,13 +165,6 @@ def _weil_zeta_tail(exponent: float, C: int) -> float:
     return max(abs(zeta_fn(p)) ** 2 - partial, 0.0)
 
 
-def kloosterman_zeta(r: int, rp: int, exponent: float, C: int = 4000,
-                     pairing: str = "derived") -> tuple[complex, float]:
-    """(sum_{c<=C} K(r, -rp; c)/c^exponent, Weil tail bound)."""
-    Z, T = _kloosterman_zeta_cached((r,), (rp,), float(exponent), int(C), pairing)
-    return Z[0][0], T[0][0]
-
-
 # ---------------------------------------------------------------------------
 # Coefficient families
 
@@ -238,29 +231,6 @@ def arprime_sum(rp: int, n: int, s: float, z1: complex, z2: complex) -> complex:
         * beta_mode(2 * n, rp, 2.0 * s, y1)
         * divisor_sigma(1.0 + 2 * n - 4.0 * s, abs(rp))
         / zeta_fn(4.0 * s - 2.0 * n)
-    )
-
-
-def arrprime_sum(r: int, rp: int, n: int, s: float, z1: complex, z2: complex,
-                 C: int = 4000, pairing: str = "derived") -> complex:
-    """Coefficient of the double mode, with the Kloosterman zeta factor."""
-    if r == 0 or rp == 0:
-        raise ValueError("r and rp must be nonzero")
-    y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    zval, _ = kloosterman_zeta(r, rp, 4.0 * s - 2.0 * n, C, pairing)
-    return beta_mode(0, r, 2.0 * s - n, y2) * beta_mode(2 * n, rp, 2.0 * s, y1) * zval
-
-
-def c_prefactor(n: int, s: float) -> complex:
-    """Scalar prefactor of the double modes once the |r|, |r'| powers,
-    Bessel, and Phi factors are pulled out:
-    (-1)^n pi^(6s-3n-1/2) 4^(1-n) / (Gamma(2s-n) Gamma(2s))."""
-    return (
-        (-1.0) ** n
-        * math.pi ** (6.0 * s - 3.0 * n - 0.5)
-        * 4.0 ** (1 - n)
-        * rgamma(2.0 * s - n)
-        * rgamma(2.0 * s)
     )
 
 

@@ -11,10 +11,6 @@ class HeckeKernelError(Exception):
     """Base class for all package errors."""
 
 
-class NotInvertible(HeckeKernelError):
-    """Modular inverse requested for a residue that is not a unit."""
-
-
 class PrecisionLoss(HeckeKernelError):
     """An exact integer quantity came out too far from an integer."""
 

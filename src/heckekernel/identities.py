@@ -17,8 +17,8 @@ import numpy as np
 from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix, weil_bound
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
-from .latsum import limit_fit, omega_direct, psi_direct, s_series_direct
-from .modforms import default_cache, delta_value
+from .latsum import omega_direct, s_series_direct
+from .modforms import default_cache, delta_value, theorem3_rhs
 from .special import zeta_fn
 from .types import CheckReport, FourierAssemblyConfig, TruncationPolicy
 
@@ -149,23 +149,18 @@ def check_theorem3(point_pairs=DEFAULT_PAIRS, near_diagonal: bool = True,
     if near_diagonal:
         base = pairs[0]
         pairs.append((base[1] + 0.05, base[1]))
-    cache = default_cache()
-    rows = []
-    for z1, z2 in pairs:
-        xi = xi_fourier(z1, z2, 1, 1.0, cfg).value
-        G = cache.j_prime_at(z1) / (cache.j_at(z1) - cache.j_at(z2))
-        D = cache.dlog_delta_at(z1)
-        rows.append((z1, z2, xi, G, D))
+    rows = [(z1, z2, xi_fourier(z1, z2, 1, 1.0, cfg).value, theorem3_rhs(z1, z2, 1.0))
+            for z1, z2 in pairs]
     survivors = []
     all_resids = {}
     for label, t, kappa, extra in _THEOREM3_CANDIDATES:
         resids = []
-        for z1, z2, xi, G, D in rows:
+        for z1, z2, xi, rhs1 in rows:
             w2 = z2 - z2.conjugate()
             lhs = xi * w2 - t / (z1 - z1.conjugate())
             if extra:
                 lhs = lhs * w2
-            rhs = kappa * (G + D)
+            rhs = kappa * rhs1
             resids.append(abs(lhs - rhs) / max(abs(rhs), 1e-12))
         all_resids[label] = max(resids)
         if max(resids) <= tolerance:
@@ -350,12 +345,3 @@ def _omega_on_grid(pts: np.ndarray, z2: complex, k: int, H: int) -> np.ndarray:
         out += mu2 ** (-k)
     return out
 
-
-def psi_residue_fit(z1: complex, z2: complex, which: int = 1,
-                    samples=(1.05, 1.08, 1.12, 1.18, 1.25)) -> float:
-    """Fitted residue of Psi at s = 1: each sample is psi_direct at H = 1200
-    (the height limit and its error from the package's one truncation rule),
-    then the constant term of a quadratic fit of (s-1) Psi(s) in s - 1."""
-    policy = TruncationPolicy(H=1200, tol=1e-2)
-    rvals = [(s - 1.0) * psi_direct(which, z1, z2, s, policy).value.real for s in samples]
-    return limit_fit([s - 1.0 for s in samples], rvals, (0, 1, 2)).real

@@ -36,19 +36,6 @@ _BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
 _SLICE_BLOCK = 1 << 15  # grid elements per xic_slice block (cache-sized)
 
 
-def mu(gamma: IntMatrix2, z1: complex, w: complex) -> complex:
-    """c z1 w + d w - a z1 - b (the kernel's bilinear form)."""
-    return gamma.c * z1 * w + gamma.d * w - gamma.a * z1 - gamma.b
-
-
-def mu_factorized(gamma: IntMatrix2, z1: complex, w: complex) -> complex:
-    """Same value through the c != 0 factorization (testing aid)."""
-    if gamma.c == 0:
-        raise ValueError("factorized form needs c != 0")
-    c = gamma.c
-    return ((c * z1 + gamma.d) * (c * w - gamma.a) + gamma.det) / c
-
-
 def enumerate_matrices(m: int, H: int) -> Iterator[IntMatrix2]:
     """Every integer matrix with det = m and max |entry| <= H, exactly once."""
     if m < 1 or H < 1:
@@ -295,6 +282,14 @@ def _cutoff_spread(vals) -> tuple[complex, float]:
     return complex(vals[0]), float(max(abs(vals[0] - v) for v in vals[1:5]))
 
 
+def _raw_spread(vals, decay: float) -> tuple[complex, float]:
+    """_cutoff_spread of unfitted sums whose truncation error decays like
+    H^(-decay), the spread divided by 1 - 2^(-decay): a slow tail past H
+    exceeds its change over H/2..H by up to that factor."""
+    value, spread = _cutoff_spread(vals)
+    return value, spread / (1.0 - 2.0 ** -decay)
+
+
 def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
     """Ball sum with the policy's refinement at each cutoff h_0..h_4 of
     _cutoff_spread, every rung of the _ladder from one ball_sum.  The
@@ -302,11 +297,10 @@ def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: flo
     S + alpha h^(-decay) + beta h^(-decay-1) over the rungs h_j..h_(j+5)
     (limit_fit), averaging out the oscillation of the sharp height cut.
     With no refinement (or decay >= 3) the value is the raw ball sum and
-    the spread is divided by 1 - 2^(-decay), as a slow tail exceeds it."""
+    the spread is widened by _raw_spread."""
     rungs = _ladder(policy.H)
     if policy.refine == "none" or decay >= 3.0:
-        value, spread = _cutoff_spread(ball_sum(z1, z2, m, rungs[:5], term_fn))
-        return value, spread / (1.0 - 2.0 ** -decay)
+        return _raw_spread(ball_sum(z1, z2, m, rungs[:5], term_fn), decay)
     if min(len(set(rungs[j:j + 6])) for j in range(5)) < 3:  # one per power
         raise ValueError(f"H = {policy.H} is too small for a fitted sum (need H >= 6)")
     sums = ball_sum(z1, z2, m, rungs, term_fn)
@@ -319,7 +313,7 @@ def limit_fit(xs, ys, powers) -> complex:
     (powers[0] = 0); an exact solve when there are as many xs as powers.
 
     Every extrapolation in the package is this fit: the height limit of
-    the direct sums, the s-limit of _extrapolated and the Psi residue.
+    the direct sums and the s-limit of _extrapolated.
     """
     A = np.array([[x**p for p in powers] for x in xs], dtype=np.float64)
     sol, *_ = np.linalg.lstsq(A, np.asarray(ys), rcond=None)
@@ -509,7 +503,8 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     Unshifted sums the true terms over the height ball with xi_direct's
     chunk kernel, halved (xi_direct pairs c with -c), so xi0 + 2 xic
     reproduces xi_direct at matched cutoffs; C is capped at H and scales with
-    it in the error, _cutoff_spread of the raw sums in H.  Shifted drops the
+    it in the error, _raw_spread of the sums in H (decay 4s - 2n - 2, as
+    xi_direct's).  Shifted drops the
     1/c offset of both kernels (the Fourier-assembled series), sums
     xic_slice's rectangular |k|, |l| <= H windows and takes _cutoff_spread
     of the partial sums in C.
@@ -525,9 +520,9 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
         term_fn, hs = xi_term_fn(n, s), _ladder(policy.H)[:5]
         edges, cm = np.unique(hs), min(policy.C, policy.H)
         chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
-        value, err = _cutoff_spread([
+        value, err = _raw_spread([
             tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
-            for h in hs])
+            for h in hs], 4.0 * s - 2.0 * n - 2.0)
     return accept(value, err, "direct", policy.tol, policy, warnings)
 
 

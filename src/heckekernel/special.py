@@ -204,27 +204,3 @@ def phi_factor(args: PhiArgs) -> float:
         total += coeff * Y ** (a - lam - q) * kval
     return total
 
-
-def phi_factor_fd(sign: int, Y: float, n: int, lam: float, step: float = 1e-3) -> float:
-    """Finite-difference oracle for phi_factor (central stencils)."""
-
-    def bracket(y: float) -> float:
-        return math.exp(-2.0 * sign * y) * y ** (-lam) * bessel_k(lam, 2.0 * y)
-
-    if n == 0:
-        return math.exp(2.0 * sign * Y) * bracket(Y)
-    # central difference coefficients for n = 1 and 2 on a 5-point stencil
-    h = step
-    if n == 1:
-        d = (-bracket(Y + 2 * h) + 8 * bracket(Y + h) - 8 * bracket(Y - h) + bracket(Y - 2 * h)) / (12 * h)
-    elif n == 2:
-        d = (
-            -bracket(Y + 2 * h)
-            + 16 * bracket(Y + h)
-            - 30 * bracket(Y)
-            + 16 * bracket(Y - h)
-            - bracket(Y - 2 * h)
-        ) / (12 * h * h)
-    else:
-        raise ValueError("finite-difference oracle implemented for n <= 2")
-    return math.exp(2.0 * sign * Y) * d

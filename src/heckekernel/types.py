@@ -46,19 +46,6 @@ class IntMatrix2:
 
 
 @dataclass(frozen=True)
-class KloostermanParams:
-    """Arguments of the exponential sum K(a, b; c)."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"modulus c must be >= 1, got {self.c}")
-
-
-@dataclass(frozen=True)
 class PhiArgs:
     """Arguments of the derivative factor Phi_sgn(Y, n, lam).
 

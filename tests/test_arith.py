@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,11 @@ from heckekernel.arith import (
     divisor_sigma,
     divisors,
     euler_phi,
-    kloosterman,
-    kloosterman_abc,
     kloosterman_matrix,
-    mod_inverse,
     ramanujan_sum,
+    unit_inverse_table,
     weil_bound,
 )
-from heckekernel.errors import NotInvertible
-from heckekernel.types import KloostermanParams
 
 
 def phi_brute(c: int) -> int:
@@ -90,23 +87,28 @@ class TestDivisors:
 
 
 class TestModInverse:
+    """The modular inverses of unit_inverse_table(c): units and inverses
+    as 1..c representatives."""
+
     def test_modulus_one(self):
-        assert mod_inverse(1, 1) == 1
+        units, invs = unit_inverse_table(1)
+        assert units.tolist() == [1] and invs.tolist() == [1]
 
     def test_three_mod_seven(self):
-        assert mod_inverse(3, 7) == 5
+        units, invs = unit_inverse_table(7)
+        assert dict(zip(units.tolist(), invs.tolist()))[3] == 5
         assert (3 * 5) % 7 == 1
 
     def test_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            mod_inverse(2, 4)
+        units, _ = unit_inverse_table(4)
+        assert units.tolist() == [1, 3]
+        assert 2 not in units.tolist()
 
     def test_range_convention(self):
         for c in range(1, 60):
-            for m in range(1, c + 1):
-                if math.gcd(m, c) != 1:
-                    continue
-                inv = mod_inverse(m, c)
+            units, invs = unit_inverse_table(c)
+            assert units.tolist() == [m for m in range(1, c + 1) if math.gcd(m, c) == 1]
+            for m, inv in zip(units.tolist(), invs.tolist()):
                 assert 1 <= inv <= c
                 assert (m * inv) % c == 1 % c
 
@@ -135,20 +137,20 @@ class TestRamanujan:
 
 class TestKloosterman:
     def test_modulus_one(self):
-        assert kloosterman(KloostermanParams(1, 1, 1)) == pytest.approx(1)
+        assert kloosterman_matrix(1, [1], [1])[0, 0] == pytest.approx(1)
 
     def test_modulus_two(self):
-        assert kloosterman(KloostermanParams(1, 1, 2)) == pytest.approx(1)
+        assert kloosterman_matrix(2, [1], [1])[0, 0] == pytest.approx(1)
 
     def test_modulus_five(self):
         expected = 2 + 2 * math.cos(4 * math.pi / 5)
-        assert kloosterman(KloostermanParams(1, 1, 5)).real == pytest.approx(expected)
+        assert kloosterman_matrix(5, [1], [1])[0, 0].real == pytest.approx(expected)
         assert expected == pytest.approx(0.3819660113, abs=1e-9)
 
     def test_against_brute_force(self):
         for c in range(1, 30):
             for a, b in ((1, 1), (2, 3), (0, 1), (-1, 4)):
-                assert kloosterman_abc(a, b, c) == pytest.approx(
+                assert kloosterman_matrix(c, [a], [b])[0, 0] == pytest.approx(
                     kloosterman_brute(a, b, c), abs=1e-9
                 )
 
@@ -164,19 +166,23 @@ class TestKloosterman:
 
     def test_imaginary_part_small(self):
         for c in range(1, 120):
-            assert abs(kloosterman_abc(3, 7, c).imag) < 1e-9
+            assert abs(kloosterman_matrix(c, [3], [7])[0, 0].imag) < 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.integers(1, 50), a=st.integers(1, 20), b=st.integers(1, 20))
     def test_symmetry(self, c, a, b):
-        assert kloosterman_abc(a, b, c) == pytest.approx(kloosterman_abc(b, a, c), abs=1e-9)
+        K = kloosterman_matrix(c, [a, b], [a, b])
+        assert K[0, 1] == pytest.approx(K[1, 0], abs=1e-9)
 
     def test_weil_bound_small_grid(self):
+        a_list, b_list = (1, 2, 7), (1, 3, 20)
         for c in range(1, 60):
-            for a in (1, 2, 7):
-                for b in (1, 3, 20):
-                    assert abs(kloosterman_abc(a, b, c)) <= weil_bound(a, b, c) + 1e-9
+            K = np.abs(kloosterman_matrix(c, a_list, b_list))
+            for i, a in enumerate(a_list):
+                for j, b in enumerate(b_list):
+                    assert K[i, j] <= weil_bound(a, b, c) + 1e-9
 
     def test_rejects_bad_modulus(self):
+        # the unit table of c = 0 needs euler_phi(0), which refuses it
         with pytest.raises(ValueError):
-            KloostermanParams(1, 1, 0)
+            kloosterman_matrix(0, [1], [1])

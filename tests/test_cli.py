@@ -11,6 +11,25 @@ from heckekernel.cli import build_parser, main, parse_complex
 from heckekernel.types import CheckReport
 
 
+# K(a, b; c) for c = 1..20 as `table kloosterman --json` prints them
+KLOOSTERMAN_ROWS = {
+    (1, 1): [
+        1.0, 1.0, -0.9999999999999993, -2.0, 0.3819660112501053, -1.0000000000000013,
+        2.0489173395223053, -4.440892098500626e-16, 1.0418890660015823, 2.6180339887498945,
+        -2.357872262870507, 1.999999999999999, 5.2595340479050074, -2.3568958678922094,
+        -2.618033988749895, 5.656854249492378, -3.9590650700996464, 4.596266658713867,
+        0.8947711179711799, -0.7639320225002102,
+    ],
+    (2, -3): [
+        1.0, -1.0, -1.0000000000000002, 1.224646799147353e-16, 2.618033988749895,
+        1.0000000000000002, 2.0489173395223053, -1.1102230246251563e-16, 1.220033347542441e-16,
+        -0.3819660112501053, -0.7575874396798334, -1.2246467991473525e-16, -0.8706384382417061,
+        2.3568958678922103, -0.38196601125010354, 2.7755575615628914e-16, 2.00765183491822,
+        -5.549676326524895e-17, 5.90038733599582, 3.3306690738754696e-16,
+    ],
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -287,12 +306,14 @@ class TestCheck:
 
 class TestTable:
     def test_kloosterman_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "kloosterman", "--a", "1", "--b", "1",
-                               "--cmax", "20", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc["rows"]) == 20
-        assert doc["rows"][0] == [1, 1.0]
+        # every row pinned bit for bit
+        for (a, b), values in KLOOSTERMAN_ROWS.items():
+            code, out, _ = run_cli(capsys, "table", "kloosterman", "--a", str(a), "--b", str(b),
+                                   "--cmax", "20", "--json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["columns"] == ["c", f"K({a},{b};c)"]
+            assert doc["rows"] == [[c, v] for c, v in enumerate(values, 1)]
 
     def test_qseries_delta(self, capsys):
         code, out, _ = run_cli(capsys, "table", "qseries", "--series", "delta",

@@ -4,17 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from heckekernel.arith import divisor_sigma
+from heckekernel.arith import divisor_sigma, kloosterman_matrix
 from heckekernel.continuation import (
     a0_sum,
     alpha_const,
     alpha_const_m2,
     ar_sum,
     arprime_sum,
-    arrprime_sum,
     beta_mode,
-    c_prefactor,
-    kloosterman_zeta,
     s_series_fourier,
     shift_correction,
     xi_extrapolated,
@@ -27,11 +24,20 @@ from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
 
+from oracles import c_prefactor, kloosterman_zeta, phi_factor_fd
+
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
 
 FAST_CFG = FourierAssemblyConfig(R=6, C=600, corr_C=80, corr_K=40, tol=1e-2)
 DIRECT_POL = TruncationPolicy(B=100_000, tol=1e-2)
+
+
+def double_mode(r, rp, n, s, z1, z2, C):
+    """The (r, r') double-mode coefficient that xi_tilde_fourier sums:
+    beta_0(r, 2s - n, y2) beta_2n(r', 2s, y1) Z(r, r')."""
+    zval, _ = kloosterman_zeta(r, rp, 4.0 * s - 2.0 * n, C)
+    return beta_mode(0, r, 2.0 * s - n, z2.imag) * beta_mode(2 * n, rp, 2.0 * s, z1.imag) * zval
 
 
 class TestSSeriesFourier:
@@ -142,8 +148,6 @@ class TestCoefficients:
     def test_arprime_phi_consistency(self):
         # replacing the exact derivative factor by its finite-difference
         # oracle moves the value by < 1e-5 relative
-        from heckekernel.special import phi_factor_fd
-
         rp, n, s = 1, 1, 1.3
         exact = arprime_sum(rp, n, s, Z1, Z2)
         Y = math.pi * abs(rp) * Z1.imag
@@ -160,7 +164,7 @@ class TestCoefficients:
         # the beta product equals C(n,s) |r|^(2s-n-1/2) |r'|^(4s-2n-1)
         # y2^(n+1/2-2s) K_(2s-n-1/2)(2 pi |r| y2) Phi(pi |r'| y1) Z(...)
         n, s, r, rp = 1, 1.3, 2, -1
-        val = arrprime_sum(r, rp, n, s, Z1, Z2, C=400)
+        val = double_mode(r, rp, n, s, Z1, Z2, C=400)
         zval, _ = kloosterman_zeta(r, rp, 4 * s - 2 * n, 400)
         y1, y2 = Z1.imag, Z2.imag
         sgn = 1 if rp > 0 else -1
@@ -178,7 +182,7 @@ class TestCoefficients:
     def test_arrprime_magnitude_bound(self):
         # |A^(r,r')| <= |prefactors| * sqrt(min(|r|,|r'|)) zeta(4s-2n-1/2)^2
         n, s, r, rp = 1, 1.2, 1, 1
-        val = abs(arrprime_sum(r, rp, n, s, Z1, Z2, C=2000))
+        val = abs(double_mode(r, rp, n, s, Z1, Z2, C=2000))
         zeta_bound = abs(zeta_fn(4 * s - 2 * n - 0.5)) ** 2
         y1, y2 = Z1.imag, Z2.imag
         bound = (
@@ -193,16 +197,14 @@ class TestCoefficients:
     def test_mode_families_decrease(self):
         s = 1.25
         za, zb = 0.1 + 1.1j, -0.2 + 1.3j
-        arr = [abs(arrprime_sum(r, 1, 1, s, za, zb, C=400)) for r in (1, 2, 3)]
+        arr = [abs(double_mode(r, 1, 1, s, za, zb, C=400)) for r in (1, 2, 3)]
         assert arr[0] > arr[1] > arr[2]
 
 
 class TestKloostermanZeta:
     def test_matches_naive_sum(self):
-        from heckekernel.arith import kloosterman_abc
-
         for r, rp, p in ((1, 1, 2.6), (2, -3, 2.2)):
-            naive = sum(kloosterman_abc(r, -rp, c) * c ** (-p) for c in range(1, 200))
+            naive = sum(kloosterman_matrix(c, [r], [-rp])[0, 0] * c ** (-p) for c in range(1, 200))
             fast, _ = kloosterman_zeta(r, rp, p, C=199)
             assert fast == pytest.approx(naive, abs=1e-10)
 
@@ -213,13 +215,13 @@ class TestKloostermanZeta:
 
     def test_weil_tail_bound_honored_stepwise(self):
         # partial sums never exceed the Weil majorant at any truncation
-        from heckekernel.arith import divisor_count, kloosterman_abc
+        from heckekernel.arith import divisor_count
 
         r, rp, p = 1, 1, 2.0
         partial = 0.0
         majorant = 0.0
         for c in range(1, 300):
-            partial += abs(kloosterman_abc(r, -rp, c)) * c ** (-p)
+            partial += abs(kloosterman_matrix(c, [r], [-rp])[0, 0]) * c ** (-p)
             majorant += divisor_count(c) * c ** (0.5 - p)
             assert partial <= majorant + 1e-12
 

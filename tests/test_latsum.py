@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 
@@ -12,8 +13,6 @@ from heckekernel.latsum import (
     _line_tail,
     ball_sum,
     enumerate_matrices,
-    mu,
-    mu_factorized,
     omega_direct,
     omega_n_direct,
     omega_n_term_fn,
@@ -31,9 +30,10 @@ from heckekernel.accumulate import tree_sum
 from heckekernel.arith import unit_inverse_table
 from heckekernel.continuation import alpha_const, beta_mode, s_series_fourier, shift_correction
 from heckekernel.errors import NearDiagonal, NotConverged
-from heckekernel.identities import psi_residue_fit
 from heckekernel.modforms import delta_series, delta_value
 from heckekernel.types import FourierAssemblyConfig, IntMatrix2, TruncationPolicy
+
+from oracles import mu, mu_factorized, psi_residue_fit
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -42,6 +42,16 @@ Z2 = -0.3 + 0.9j
 @pytest.fixture(scope="module")
 def xi_reference():
     return xi_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=900, tol=1e-2, refine="lsq"))
+
+
+@functools.lru_cache(maxsize=None)
+def slow_decay_reference(s):
+    """(value, err) of Xi_1 and of its c > 0 part, (Xi_1 - xi0) / 2, at
+    Z1, Z2 from the fitted sum at H = 1600."""
+    xi = xi_direct(Z1, Z2, 1, s, TruncationPolicy(H=1600, tol=1e-2, refine="lsq"))
+    xi0 = xi0_direct(Z1, Z2, 1, s, TruncationPolicy(tol=1e-2))
+    return {"xi": (xi.value, xi.err_estimate),
+            "xic": ((xi.value - xi0.value) / 2, (xi.err_estimate + xi0.err_estimate) / 2)}
 
 
 def brute_count(m, H):
@@ -296,12 +306,23 @@ class TestXi:
         ref = xi_direct(z1, z2, n, s, TruncationPolicy(H=4 * H, tol=1e-2, refine="lsq"))
         assert abs(r.value - ref.value) <= r.err_estimate + ref.err_estimate
 
-    @pytest.mark.parametrize("H", [100, 200])
-    def test_raw_estimate_covers_slow_decay(self, H):
-        # decay 0.8 < 1: the tail past H exceeds the spread over H/2..H
-        ref = xi_direct(Z1, Z2, 1, 1.2, TruncationPolicy(H=1600, tol=1e-2, refine="lsq"))
-        r = xi_direct(Z1, Z2, 1, 1.2, TruncationPolicy(H=H, tol=1e-2, refine="none"))
-        assert abs(r.value - ref.value) <= r.err_estimate + ref.err_estimate
+    @pytest.mark.parametrize("route,s,H", [
+        pytest.param("xi", 1.2, 100, id="100"),
+        pytest.param("xi", 1.2, 200, id="200"),
+        pytest.param("xic", 1.2, 100, id="xic-1.2-100"),
+        pytest.param("xic", 1.2, 200, id="xic-1.2-200"),
+        pytest.param("xic", 1.1, 100, id="xic-1.1-100"),
+        pytest.param("xic", 1.1, 200, id="xic-1.1-200"),
+    ])
+    def test_raw_estimate_covers_slow_decay(self, route, s, H):
+        # decay 4s - 4 < 1: the tail past H exceeds the spread over H/2..H
+        ref, ref_err = slow_decay_reference(s)[route]
+        pol = TruncationPolicy(H=H, C=H, tol=1e-2, refine="none")
+        if route == "xi":
+            r = xi_direct(Z1, Z2, 1, s, pol)
+        else:
+            r = xic_direct(Z1, Z2, 1, s, pol, shifted=False)
+        assert abs(r.value - ref) <= r.err_estimate + ref_err
 
     @settings(max_examples=20, deadline=None)
     @given(x1=st.floats(-0.5, 0.49), x2=st.floats(-0.5, 0.49), ly1=st.floats(0.0, math.log(2.0)),

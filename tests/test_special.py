@@ -9,12 +9,13 @@ from heckekernel.special import (
     bessel_k,
     gamma_fn,
     phi_factor,
-    phi_factor_fd,
     rgamma,
     zeta_fn,
     zeta_near_one,
 )
 from heckekernel.types import PhiArgs
+
+from oracles import phi_factor_fd
 
 mp.mp.dps = 30
 
