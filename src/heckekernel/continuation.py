@@ -27,12 +27,15 @@ bookkeeping a = -a0 + ck, d = d0 + cl, a0 d0 = -1 (mod c); the commonly
 printed variant with K(r, r'; c) and swapped double-mode phases is kept
 behind pairing="printed" for the overlap experiment that rejects it.
 
-At s = n = 1 the constant family is a 0 * inf limit: zeta(4s-3) has a
-simple pole exactly where alpha_2(2s) has a simple zero, and
+At the edge s = (n + 1)/2 of the direct sum's convergence, n >= 1, the
+constant family is a 0 * inf limit: zeta(4s-2n-1) has a simple pole
+exactly where alpha_2n(2s) has a simple zero (the last linear factor
+2s-n-1 of alpha_const), and
 
-    lim (2s-2) zeta(4s-3) = 1/2   as s -> 1,
+    lim (2s-n-1) zeta(4s-2n-1) = 1/2   as s -> (n + 1)/2,
 
-giving the finite boundary value -3 / (y1 y2) for the constant term.
+so zeta(4s-2n-1) alpha_2n(2s) -> -pi/(2n) and the constant term tends to
+-3 / (n y1 y2); the z2 modes carry the zero without the pole and vanish.
 """
 
 from __future__ import annotations
@@ -57,27 +60,20 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def alpha_const(m: int, sigma: float) -> complex:
     """Constant Fourier coefficient of S_m(z, 0, sigma) (the y^(1+m-2 sigma)
-    prefactor), via the moment sum
+    prefactor): the Gamma ratio of the module docstring after Legendre
+    duplication,
 
-        (-i)^m sum_p C(m, 2p) (-1)^p Gamma(p+1/2) Gamma(sigma-p-1/2) / Gamma(sigma).
-    """
-    acc = 0j
-    for p in range(m // 2 + 1):
-        acc += (
-            math.comb(m, 2 * p)
-            * (-1.0) ** p
-            * gamma_fn(p + 0.5)
-            * gamma_fn(sigma - p - 0.5)
-        )
-    return (-1j) ** m * acc * rgamma(sigma)
+        sqrt(pi) Gamma(sigma - k - 1/2) prod_{j<k} (sigma - m + j) / (i^m Gamma(sigma)),
+
+    k = floor(m/2).  Gamma's poles fall at half-integers and the product's
+    zeros at integers, so no two coincide."""
+    return _alpha_head(m, sigma, m // 2)
 
 
-def alpha_const_m2(sigma: float) -> tuple[complex, complex]:
-    """alpha_2(sigma) split as (factor_without_zero, (sigma - 2)) so the
-    boundary limit against the zeta pole can be taken exactly:
-    alpha_2(sigma) = -sqrt(pi) Gamma(sigma - 3/2) (sigma - 2) / Gamma(sigma)."""
-    head = -_SQRT_PI * gamma_fn(sigma - 1.5) * rgamma(sigma)
-    return head, complex(sigma - 2.0)
+def _alpha_head(m: int, sigma: float, k: int) -> complex:
+    """alpha_m(sigma) with only the first k of its floor(m/2) linear factors."""
+    lin = math.prod(sigma - m + j for j in range(k))
+    return (-1j) ** m * _SQRT_PI * gamma_fn(sigma - m // 2 - 0.5) * rgamma(sigma) * lin
 
 
 def beta_mode(m: int, r: int, sigma: float, y: float) -> complex:
@@ -170,28 +166,25 @@ def _weil_zeta_tail(exponent: float, C: int) -> float:
 
 
 def _zeta_ratio_times_alpha2n(n: int, s: float) -> complex:
-    """zeta(4s-2n-1)/zeta(4s-2n) * alpha_2n(2s), stable at the boundary.
+    """zeta(4s-2n-1)/zeta(4s-2n) * alpha_2n(2s), stable at the edge s = (n+1)/2.
 
-    For n = 1 the zeta argument crosses 1 exactly where alpha_2(2s)
-    vanishes; the product (2s-2) zeta(4s-3) is evaluated through the
-    Laurent expansion of zeta near 1.
+    For n >= 1 the last linear factor of alpha_2n(2s) is 2s-n-1 = u/2 with
+    u = 4s-2n-2, and zeta(4s-2n-1) = zeta(1+u) has its pole at u = 0; the
+    product (u/2) zeta(1+u) is evaluated through the Laurent expansion of
+    zeta near 1 and tends to 1/2.
     """
     if n == 0:
         return zeta_fn(4.0 * s - 1.0) / zeta_fn(4.0 * s) * alpha_const(0, 2.0 * s)
-    if n == 1:
-        head, _ = alpha_const_m2(2.0 * s)
-        u = 4.0 * (s - 1.0)
-        # (2s-2) zeta(4s-3) = u/2 * zeta(1+u) -> 1/2 at the pole u = 0
-        prod = 0.5 if u == 0 else (u / 2.0) * zeta_near_one(u)
-        return complex(prod) * head / zeta_fn(4.0 * s - 2.0)
-    raise ValueError("assembly supports n in {0, 1}")
+    u = 4.0 * s - 2.0 * n - 2.0
+    prod = 0.5 if u == 0 else (u / 2.0) * zeta_near_one(u)
+    return complex(prod) * _alpha_head(2 * n, 2.0 * s, n - 1) / zeta_fn(4.0 * s - 2.0 * n)
 
 
 def a0_sum(n: int, s: float, z1: complex, z2: complex) -> complex:
     """Constant Fourier term of the shifted c > 0 series.
 
-    At s = n = 1 the zeta pole cancels the Gamma zero and the value is
-    the finite limit -3 / (Im z1 Im z2).
+    At the edge s = (n + 1)/2, n >= 1, the zeta pole cancels the zero of
+    alpha_2n(2s) and the value is the finite limit -3 / (n Im z1 Im z2).
     """
     y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
     lead = _zeta_ratio_times_alpha2n(n, s)
@@ -203,16 +196,10 @@ def ar_sum(r: int, n: int, s: float, z1: complex, z2: complex) -> complex:
     if r == 0:
         raise ValueError("r must be nonzero")
     y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    # the z2-mode family replaces the totient Dirichlet series by the
-    # Ramanujan one; alpha_2(2s) vanishes at s = n = 1, so these modes
-    # die at the boundary (no pole to cancel here)
-    if n == 0:
-        alpha2n = alpha_const(0, 2.0 * s)
-    else:
-        head, zero = alpha_const_m2(2.0 * s)
-        alpha2n = head * zero
+    # the Ramanujan Dirichlet series in place of the totient one: no pole
+    # cancels the zero of alpha_2n(2s), so these modes die at the edge
     return (
-        alpha2n
+        alpha_const(2 * n, 2.0 * s)
         * y1 ** (1.0 + 2 * n - 4.0 * s)
         * beta_mode(0, r, 2.0 * s - n, y2)
         * divisor_sigma(1.0 + 2 * n - 4.0 * s, abs(r))
@@ -318,12 +305,13 @@ def xi_fourier(z1: complex, z2: complex, n: int, s: float,
                policy: TruncationPolicy | None = None) -> EvalResult:
     """Xi_n(z1, z2, s) by Fourier assembly: the c = 0 series summed
     directly, plus twice the closed-form shifted series and the offset
-    correction.  Valid for real s >= 1 and n in {0, 1}; this is the
-    analytic continuation route that reaches s = n = 1."""
-    if n not in (0, 1):
-        raise ValueError("assembly supports n in {0, 1}")
-    if s < 1.0:
-        raise ValueError("assembly is restricted to real s >= 1")
+    correction.  Valid for 0 <= n <= 4 (derivative order 2n <= 8) and
+    real s >= max(1, (n + 1)/2); this is the analytic continuation route
+    that reaches the edge s = (n + 1)/2 of the direct sum's convergence."""
+    if not 0 <= n <= 4:
+        raise ValueError(f"assembly supports 0 <= n <= 4, got n = {n}")
+    if s < max(1.0, (n + 1) / 2.0):
+        raise ValueError(f"assembly is restricted to real s >= max(1, (n + 1)/2), got s = {s}")
     cfg = cfg or FourierAssemblyConfig()
     policy = policy or TruncationPolicy()
     xi0 = xi0_direct(z1, z2, n, s, policy)
@@ -345,7 +333,8 @@ def _extrapolated(s_target: float, samples: tuple, evaluate, policy, a: float) -
     Needs at least 3 distinct samples in (a, a + 0.8], a at or above the
     abscissa of evaluate; the lowest 5 are used (degree at most 4).  The
     error estimate is the shift from dropping the farthest sample, plus the
-    sample evaluations' own estimates.
+    sample evaluations' own estimates; the result passes types.accept at
+    policy.tol.
     """
     samples = tuple(sorted(set(float(s) for s in samples)))
     if len(samples) < 3:
@@ -359,7 +348,7 @@ def _extrapolated(s_target: float, samples: tuple, evaluate, policy, a: float) -
     full = limit_fit(xs, ys, range(len(xs)))
     dropped = limit_fit(xs[:-1], ys[:-1], range(len(xs) - 1))
     err = abs(full - dropped) + sum(e.err_estimate for e in evals)
-    return EvalResult(value=full, err_estimate=err, method="extrapolated", policy=policy)
+    return accept(full, err, "extrapolated", policy.tol, policy)
 
 
 def xi_extrapolated(z1: complex, z2: complex, n: int = 1, s_target: float = 1.0,
@@ -379,7 +368,7 @@ def omega2(z1: complex, z2: complex, samples: tuple = (1.15, 1.25, 1.4, 1.6),
            policy: TruncationPolicy | None = None) -> EvalResult:
     """omega_2 = lim_{s -> 1} Omega_1(z1, conj z2, s); vanishes (it is a
     weight-2 cusp form), so the value doubles as a residual diagnostic."""
-    policy = policy or TruncationPolicy(H=800)
+    policy = policy or TruncationPolicy(H=800, tol=1e-2)
     return _extrapolated(1.0, samples, lambda s: omega_n_direct(z1, z2, 1, s, policy), policy, 1.0)
 
 

@@ -11,8 +11,20 @@ import math
 
 from heckekernel.continuation import _kloosterman_zeta_cached
 from heckekernel.latsum import limit_fit, psi_direct
-from heckekernel.special import bessel_k, rgamma
+from heckekernel.special import bessel_k, gamma_fn, rgamma
 from heckekernel.types import IntMatrix2, TruncationPolicy
+
+
+def alpha_moment_sum(m: int, sigma: float) -> complex:
+    """The constant Fourier coefficient that continuation.alpha_const gives
+    in closed form, as the moment sum
+
+        (-i)^m sum_p C(m, 2p) (-1)^p Gamma(p+1/2) Gamma(sigma-p-1/2) / Gamma(sigma).
+    """
+    acc = 0j
+    for p in range(m // 2 + 1):
+        acc += math.comb(m, 2 * p) * (-1.0) ** p * gamma_fn(p + 0.5) * gamma_fn(sigma - p - 0.5)
+    return (-1j) ** m * acc * rgamma(sigma)
 
 
 def mu(gamma: IntMatrix2, z1: complex, w: complex) -> complex:

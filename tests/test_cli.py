@@ -134,12 +134,14 @@ class TestEval:
 
     @pytest.mark.parametrize("flags", [
         ("--z1", "0.1-1.2i", "--n", "1", "--s", "1.5"),
-        ("--n", "2", "--s", "1.5", "--method", "fourier"),
+        ("--n", "2", "--s", "1.4", "--method", "fourier"),
+        ("--n", "5", "--s", "3.5", "--method", "fourier"),
         ("--n", "1", "--s", "1.5", "--tol", "0.5"),
         ("--n", "1", "--s", "1.5", "--height", "0"),
         ("--n", "1", "--s", "1.5", "--workers", "0"),
         ("--n", "1", "--s", "1.0", "--height", "60"),
-    ], ids=["lower-half-plane", "fourier-n2", "tol", "height", "workers", "divergent"])
+    ], ids=["lower-half-plane", "fourier-n2", "fourier-n5", "tol", "height", "workers",
+            "divergent"])
     def test_invalid_value_is_usage_error(self, capsys, flags):
         code, _, err = run_cli(capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", *flags)
         assert code == 2
@@ -178,6 +180,16 @@ class TestEval:
             "extrapolate", "--n", "2", "--s", "1.7", "--height", "200", "--tol", "1e-2",
         )
         assert code == 0
+
+    def test_extrapolate_estimate_over_gate_is_numerical_error(self, capsys):
+        # at the default tol 1e-6 the gate is 1e-3; the default samples
+        # (1.2, 1.4, 1.6) leave an estimate near 1e-2 at this pair
+        code, _, err = run_cli(
+            capsys, "eval", "xi", "--z1", "-0.464+1.429i", "--z2", "-0.034+1.888i", "--n", "1",
+            "--s", "1.0", "--method", "extrapolate",
+        )
+        assert code == 3
+        assert "NotConverged" in err
 
     def test_s_series_at_cancelled_leading_order(self, capsys):
         # the nu^(-1) order of S_1 cancels between nu and -nu at s = 1

@@ -6,9 +6,9 @@ import pytest
 
 from heckekernel.arith import divisor_sigma, kloosterman_matrix
 from heckekernel.continuation import (
+    _zeta_ratio_times_alpha2n,
     a0_sum,
     alpha_const,
-    alpha_const_m2,
     ar_sum,
     arprime_sum,
     beta_mode,
@@ -24,7 +24,7 @@ from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
 
-from oracles import c_prefactor, kloosterman_zeta, phi_factor_fd
+from oracles import alpha_moment_sum, c_prefactor, kloosterman_zeta, phi_factor_fd
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -76,10 +76,14 @@ class TestSSeriesFourier:
 
 
 class TestCoefficients:
-    def test_alpha_m2_closed_form_matches_moment_sum(self):
-        for sigma in (1.7, 2.0, 2.6, 3.1):
-            head, zero = alpha_const_m2(sigma)
-            assert head * zero == pytest.approx(alpha_const(2, sigma), rel=1e-12)
+    def test_alpha_closed_form_matches_moment_sum(self):
+        # m = 0..8, sigma = 0.3 .. 8.0 in steps of 0.1 off the half-integer
+        # poles; at the integer zeros the moment sum leaves a cancellation
+        # residue where the closed form is exactly 0
+        for m in range(9):
+            for sigma in (k / 10 for k in range(3, 81) if k % 10 != 5):
+                ref = alpha_moment_sum(m, sigma)
+                assert alpha_const(m, sigma) == pytest.approx(ref, rel=1e-11, abs=1e-14), (m, sigma)
 
     def test_alpha0_value(self):
         # sqrt(pi) Gamma(sigma - 1/2) / Gamma(sigma)
@@ -87,16 +91,23 @@ class TestCoefficients:
             expected = math.sqrt(math.pi) * gamma_fn(sigma - 0.5) / gamma_fn(sigma)
             assert alpha_const(0, sigma) == pytest.approx(expected, rel=1e-12)
 
-    def test_a0_boundary_value(self):
-        # at s = n = 1 the zeta pole cancels the Gamma zero:
-        # a0 -> -3 / (y1 y2)
-        val = a0_sum(1, 1.0, Z1, Z2)
-        assert val == pytest.approx(-3.0 / (Z1.imag * Z2.imag), rel=1e-10)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a0_boundary_value(self, n):
+        # at the edge s = (n + 1)/2 the zeta pole cancels the zero of
+        # alpha_2n(2s): zeta(4s-2n-1) alpha_2n(2s) -> -pi/(2n), and
+        # a0 -> -3 / (n y1 y2)
+        edge = (n + 1) / 2.0
+        lead = _zeta_ratio_times_alpha2n(n, edge) * zeta_fn(2.0)
+        assert lead == pytest.approx(-math.pi / (2 * n), rel=1e-13)
+        val = a0_sum(n, edge, Z1, Z2)
+        assert val == pytest.approx(-3.0 / (n * Z1.imag * Z2.imag), rel=1e-10)
 
-    def test_a0_limit_branch_continuity(self):
-        at = a0_sum(1, 1.0, Z1, Z2)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a0_limit_branch_continuity(self, n):
+        edge = (n + 1) / 2.0
+        at = a0_sum(n, edge, Z1, Z2)
         for eps in (1e-7, -1e-7, 1e-9):
-            near = a0_sum(1, 1.0 + eps, Z1, Z2)
+            near = a0_sum(n, edge + eps, Z1, Z2)
             assert abs(near - at) < 1e-5
 
     def test_a0_against_partial_totient_sums(self):
@@ -297,9 +308,19 @@ class TestXiFourier:
         assert abs(f1 - f2) < 1e-12 * abs(f1) + 1e-13
         assert abs(f1 - f3) < 1e-12 * abs(f1) + 1e-13
 
+    @pytest.mark.parametrize("n,s", [(2, 1.8), (3, 2.3)])
+    def test_overlap_with_direct_above_n1(self, n, s):
+        d = xi_direct(Z1, Z2, n, s, TruncationPolicy(H=400, tol=1e-2))
+        cfg = FourierAssemblyConfig(R=6, C=600, corr_C=60, corr_K=32, tol=1e-2)
+        f = xi_fourier(Z1, Z2, n, s, cfg, DIRECT_POL)
+        assert abs(d.value - f.value) <= d.err_estimate + f.err_estimate
+
     def test_rejects_bad_inputs(self):
+        # 0 <= n <= 4 (derivative order 2n <= 8) and s >= max(1, (n + 1)/2)
         with pytest.raises(ValueError):
-            xi_fourier(Z1, Z2, 2, 1.5)
+            xi_fourier(Z1, Z2, 5, 3.5)
+        with pytest.raises(ValueError):
+            xi_fourier(Z1, Z2, 2, 1.4)
         with pytest.raises(ValueError):
             xi_fourier(Z1, Z2, 1, 0.9)
 
@@ -327,6 +348,15 @@ class TestExtrapolation:
                              TruncationPolicy(H=700, tol=1e-2))
         assert abs(fb.value - ex.value) <= fb.err_estimate + ex.err_estimate
         assert abs(fb.value - ex.value) < 1e-3
+
+    def test_edge_agreement_with_fourier_n2(self):
+        # the edge s = (n + 1)/2 at n = 2, where the constant family is the
+        # limit -3 / (2 y1 y2) and the z2 modes vanish
+        cfg = FourierAssemblyConfig(R=8, C=3000, corr_C=160, corr_K=48, tol=1e-2)
+        fb = xi_fourier(Z1, Z2, 2, 1.5, cfg, DIRECT_POL)
+        ex = xi_extrapolated(Z1, Z2, 2, 1.5, (1.6, 1.65, 1.75, 1.9, 2.1),
+                             TruncationPolicy(H=600, tol=1e-2))
+        assert abs(fb.value - ex.value) <= fb.err_estimate + ex.err_estimate
 
     def test_sample_set_robustness(self):
         pol = TruncationPolicy(H=400, tol=1e-2)
