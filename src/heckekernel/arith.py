@@ -12,10 +12,15 @@ All residue sums run over 1 <= m <= c with gcd(m, c) = 1, so c = 1
 contributes the single term m = 1.  This is the convention under which
 the Dirichlet series  sum_c C_c(r)/c^s = sigma_{1-s}(r)/zeta(s)  holds.
 
-Ramanujan and Kloosterman sums are evaluated by one kernel,
-kloosterman_matrix: a product of root-of-unity tables over the units mod c
-and their inverses (O(c) per sum); integer-valued results are asserted to
-be within 1e-9 of an integer before rounding.
+Single-modulus Ramanujan and Kloosterman sums come from kloosterman_matrix,
+a product of root-of-unity tables over the units mod c and their inverses
+(O(c) per sum); integer-valued results are asserted to be within 1e-9 of
+an integer before rounding.  The Kloosterman zeta's K_c, c = 1..C, come
+from kloosterman_sums by twisted multiplicativity over c = prod_i q_i,
+
+    K(a, b; c) = prod_i K(a, b u_i*^2; q_i),   u_i = c / q_i mod q_i,
+
+with one FFT row K(x, t; q) over all t mod q per prime power q.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8192)
 def unit_inverse_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     """_unit_inverses(c), cached for the lattice kernels that reread it
-    (kloosterman_matrix reads each table once and builds it uncached)."""
+    (the Kloosterman kernels read each table once and build it uncached)."""
     return _unit_inverses(c)
 
 
@@ -130,8 +135,7 @@ def kloosterman_matrix(c: int, a, b) -> np.ndarray:
     """Complex matrix K(a_i, b_j; c) = sum over units m of e((a_i m + b_j m*)/c).
 
     One (len(a) x phi(c)) @ (phi(c) x len(b)) product of tables of the c-th
-    roots of unity over _unit_inverses(c); every Kloosterman and
-    Ramanujan sum in the package is evaluated here.
+    roots of unity over _unit_inverses(c), the reference for kloosterman_sums.
     """
     units, invs = _unit_inverses(c)
     a = np.mod(np.asarray(a, dtype=np.int64), c)
@@ -140,6 +144,55 @@ def kloosterman_matrix(c: int, a, b) -> np.ndarray:
     A = roots[np.mod(np.multiply.outer(a, units), c)]
     B = roots[np.mod(np.multiply.outer(b, invs), c)]
     return A @ B.T
+
+
+def kloosterman_sums(C: int, a, b):
+    """Yield (c, K_c) for c = 1..C, K_c the real matrix K(a_i, b_j; c), as
+    the product over the prime powers q_i of c of K(a, b u_i*^2; q_i).
+
+    The rows of q (_prime_power_rows) are built at c = q and dropped after
+    its last multiple up to C, or at once if 4 q > C: holding those rows
+    until their two or three multiples would nearly double the peak memory."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    spf = np.arange(C + 1)
+    for p in range(2, math.isqrt(C) + 1):
+        np.minimum(spf[p * p::p], p, out=spf[p * p::p])
+    spf = spf.tolist()
+    rows = {}
+    for c in range(1, C + 1):
+        K = np.ones((len(a), len(b)))
+        n = c
+        while n > 1:
+            p, q = spf[n], 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q not in rows:
+                rows[q] = _prime_power_rows(q, a, b)
+            ab, offset, table = rows[q]
+            K *= table.take(ab * pow(c // q, -2, q) % q + offset)
+            if c + q > C or 4 * q > C:
+                del rows[q]
+        yield c, K
+
+
+def _prime_power_rows(q: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(ab, offset, table) with K(a_i, b_j w; q) = table[ab[i, j] w mod q + offset[i]].
+
+    With g = gcd(a_i, q) and a' = a_i / g (a' = 1 if q | a_i), K(a_i, t; q) =
+    K(g, a' t; q): the table holds one row K(g, t; q), t = 0..q-1, per
+    distinct g, each one length-q FFT of f[m*] = e(-g m / q) over the units
+    m, and ab[i, j] = a' b_j mod q."""
+    g = np.gcd(a, q)
+    gs, row_of = np.unique(g, return_inverse=True)
+    units, invs = _unit_inverses(q)
+    f = np.zeros(q, dtype=np.complex128)
+    table = np.empty((len(gs), q))
+    for i, x in enumerate(gs.tolist()):
+        f[invs % q] = np.exp((-2j * math.pi / q) * (units * x % q))
+        table[i] = np.fft.fft(f).real
+    ab = np.multiply.outer(np.where(g == q, 1, a // g) % q, b % q) % q
+    return ab, q * row_of.reshape(-1, 1), table.ravel()
 
 
 def ramanujan_sum(c: int, r: int) -> int:

@@ -75,7 +75,8 @@ def _glue_complex_args(argv: list[str]) -> list[str]:
     return out
 
 
-def _policy_from_args(args) -> TruncationPolicy:
+def _policy_from_args(args) -> TruncationPolicy | None:
+    """The policy the flags set, or None when no policy flag is given."""
     kw = {}
     if args.height is not None:
         kw["H"] = args.height
@@ -89,7 +90,7 @@ def _policy_from_args(args) -> TruncationPolicy:
         kw["tol"] = args.tol
     if args.workers is not None:
         kw["workers"] = args.workers
-    return TruncationPolicy(**kw)
+    return TruncationPolicy(**kw) if kw else None
 
 
 def _assembly_from_args(args) -> FourierAssemblyConfig:
@@ -137,7 +138,8 @@ def _emit_eval(result: EvalResult, args, elapsed_ms: float) -> None:
 
 
 def _run_eval(args) -> int:
-    policy = _policy_from_args(args)
+    flagged = _policy_from_args(args)
+    policy = flagged or TruncationPolicy()
     cfg = _assembly_from_args(args)
     t0 = time.perf_counter()
     target = args.target
@@ -175,7 +177,7 @@ def _run_eval(args) -> int:
         result = continuation.xi_star(args.z1, args.z2, cfg, policy)
     elif target == "omega2":
         _need(args, "z1", "z2")
-        result = continuation.omega2(args.z1, args.z2, policy=policy)
+        result = continuation.omega2(args.z1, args.z2, policy=flagged)
     else:
         raise UsageError(f"unknown eval target {target!r}")
     _emit_eval(result, args, (time.perf_counter() - t0) * 1e3)

@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .accumulate import tree_sum
-from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix
+from .arith import divisor_sieve, divisor_sigma, kloosterman_sums
 from .errors import PoleAt
 from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
 from .latsum import (convergence_warnings, limit_fit, omega_n_direct, xi0_direct, xi_direct,
@@ -134,15 +134,19 @@ def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
 def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
                              pairing: str) -> tuple:
     """Matrix Z[i, j] = sum_{c <= C} K(r_i, -r'_j; c) / c^exponent (K(r_i, r'_j; c)
-    for pairing="printed"), one kloosterman_matrix per c, returned with the
-    matrix of Weil tail bounds sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C).
+    for pairing="printed"), returned with the matrix of Weil tail bounds
+    sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C).
+
+    The K_c come from arith.kloosterman_sums, one FFT row per prime power
+    and K(a, b; c) = prod_i K(a, b u_i*^2; q_i) over c = prod_i q_i,
+    u_i = c / q_i mod q_i.
     """
     sign = -1 if pairing == "derived" else 1
     r_arr = np.array(rs, dtype=np.int64)
     rp_arr = np.array(rps, dtype=np.int64) * sign
     Z = np.zeros((len(rs), len(rps)), dtype=np.complex128)
-    for c in range(1, C + 1):
-        Z += kloosterman_matrix(c, r_arr, rp_arr) * c ** (-exponent)
+    for c, K in kloosterman_sums(C, r_arr, rp_arr):
+        Z += K * c ** (-exponent)
     a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
     tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
     return tuple(map(tuple, Z)), tuple(map(tuple, tails))

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 
-from heckekernel.continuation import _kloosterman_zeta_cached
+import numpy as np
+
+from heckekernel.arith import kloosterman_matrix
+from heckekernel.continuation import _kloosterman_zeta_cached, _weil_zeta_tail
 from heckekernel.latsum import limit_fit, psi_direct
 from heckekernel.special import bessel_k, gamma_fn, rgamma
 from heckekernel.types import IntMatrix2, TruncationPolicy
@@ -72,6 +75,22 @@ def kloosterman_zeta(r: int, rp: int, exponent: float, C: int = 4000,
     the matrix that continuation.xi_tilde_fourier builds."""
     Z, T = _kloosterman_zeta_cached((r,), (rp,), float(exponent), int(C), pairing)
     return Z[0][0], T[0][0]
+
+
+def kloosterman_zeta_per_c(rs: tuple, rps: tuple, exponent: float, C: int,
+                           pairing: str = "derived") -> tuple[np.ndarray, np.ndarray]:
+    """The matrices (Z, tails) of continuation._kloosterman_zeta_cached with
+    one direct arith.kloosterman_matrix sum per c in place of the
+    prime-power rows of arith.kloosterman_sums."""
+    sign = -1 if pairing == "derived" else 1
+    r_arr = np.array(rs, dtype=np.int64)
+    rp_arr = np.array(rps, dtype=np.int64) * sign
+    Z = np.zeros((len(rs), len(rps)), dtype=np.complex128)
+    for c in range(1, C + 1):
+        Z += kloosterman_matrix(c, r_arr, rp_arr) * c ** (-exponent)
+    a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
+    tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
+    return Z, tails
 
 
 def c_prefactor(n: int, s: float) -> complex:

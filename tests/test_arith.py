@@ -13,6 +13,7 @@ from heckekernel.arith import (
     divisors,
     euler_phi,
     kloosterman_matrix,
+    kloosterman_sums,
     ramanujan_sum,
     unit_inverse_table,
     weil_bound,
@@ -186,3 +187,33 @@ class TestKloosterman:
         # the unit table of c = 0 needs euler_phi(0), which refuses it
         with pytest.raises(ValueError):
             kloosterman_matrix(0, [1], [1])
+
+
+class TestKloostermanSums:
+    # the modes +-1..+-8, a = 0, and p-divisible arguments up to 2^9, 3^6, 5^3, 7^3
+    A = np.array([k * sgn for k in range(1, 9) for sgn in (1, -1)] + [0, 24, -36, 250, 343, 512, -729])
+
+    def test_against_matrix_every_c(self):
+        # c <= 600 covers 2^9, 3^5, 5^3, 7^3 and products of three prime
+        # powers; b holds both pairings (-a and a) and b = 0
+        b = np.concatenate([-self.A, self.A])
+        cs = []
+        for c, K in kloosterman_sums(600, self.A, b):
+            cs.append(c)
+            assert K.dtype == np.float64
+            np.testing.assert_allclose(K, kloosterman_matrix(c, self.A, b).real, rtol=0, atol=1e-10)
+        assert cs == list(range(1, 601))
+
+    @settings(max_examples=30, deadline=None)
+    @given(C=st.integers(1, 2000),
+           a=st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+           b=st.lists(st.integers(-50, 50), min_size=1, max_size=4))
+    def test_last_modulus_against_matrix(self, C, a, b):
+        for c, K in kloosterman_sums(C, a, b):
+            pass
+        assert c == C
+        np.testing.assert_allclose(K, kloosterman_matrix(C, a, b).real, rtol=0, atol=1e-10)
+
+    def test_modulus_one_and_empty_range(self):
+        assert [(c, K.tolist()) for c, K in kloosterman_sums(1, [3, 0], [-2])] == [(1, [[1.0], [1.0]])]
+        assert list(kloosterman_sums(0, [1], [1])) == []

@@ -191,6 +191,17 @@ class TestEval:
         assert code == 3
         assert "NotConverged" in err
 
+    def test_omega2_defaults_to_its_own_policy(self, capsys):
+        # with no policy flag the CLI leaves omega2 its default policy
+        # (H = 800, tol 1e-2); under the eval default (H = 400, tol 1e-6)
+        # this pair's estimate 2.2e-3 is over the gate and exits 3
+        code, out, _ = run_cli(capsys, "eval", "omega2", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                               "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["policy"]["H"] == 800
+        assert abs(complex(doc["value"]["re"], doc["value"]["im"])) <= doc["err_estimate"]
+
     def test_s_series_at_cancelled_leading_order(self, capsys):
         # the nu^(-1) order of S_1 cancels between nu and -nu at s = 1
         code, out, _ = run_cli(capsys, "eval", "s-series", "--z", "0.1+1.2i", "--n", "1",

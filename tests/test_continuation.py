@@ -6,6 +6,8 @@ import pytest
 
 from heckekernel.arith import divisor_sigma, kloosterman_matrix
 from heckekernel.continuation import (
+    _kloosterman_zeta_cached,
+    _modes,
     _zeta_ratio_times_alpha2n,
     a0_sum,
     alpha_const,
@@ -24,7 +26,8 @@ from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
 
-from oracles import alpha_moment_sum, c_prefactor, kloosterman_zeta, phi_factor_fd
+from oracles import (alpha_moment_sum, c_prefactor, kloosterman_zeta, kloosterman_zeta_per_c,
+                     phi_factor_fd)
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -273,6 +276,32 @@ class TestKloostermanZeta:
             for j, rp in enumerate(rs):
                 a_min = min(abs(r), abs(rp))
                 assert T[i][j] == pytest.approx(math.sqrt(a_min) * tail, rel=1e-12)
+
+    @pytest.mark.parametrize("pairing", ["derived", "printed"])
+    @pytest.mark.parametrize("exponent", [2.0, 3.0])
+    def test_matches_per_c_reference(self, exponent, pairing):
+        # the prime-power rows against one direct kloosterman_matrix per c
+        rs = tuple(_modes(8))
+        Z, T = _kloosterman_zeta_cached(rs, rs, exponent, 1000, pairing)
+        ref, ref_tails = kloosterman_zeta_per_c(rs, rs, exponent, 1000, pairing)
+        np.testing.assert_allclose(np.array(Z), ref, rtol=1e-13, atol=0)
+        assert np.array_equal(np.array(T), ref_tails)
+
+    def test_cold_build_peak_memory(self):
+        # a cold R = 8, C = 4000 build stays under the 2.56 MiB that one
+        # direct 16 x phi(c) x 16 product per c needs at c near C
+        import tracemalloc
+
+        rs = tuple(_modes(8))
+        misses = _kloosterman_zeta_cached.cache_info().misses
+        tracemalloc.start()
+        try:
+            _kloosterman_zeta_cached(rs, rs, 3.0625, 4000, "derived")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _kloosterman_zeta_cached.cache_info().misses == misses + 1
+        assert peak <= 2.5 * 2**20
 
     def test_tail_estimate_consistency(self):
         v1, t1 = kloosterman_zeta(1, 1, 2.0, C=2000)

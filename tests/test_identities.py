@@ -124,9 +124,9 @@ class TestOmegaProportionality:
         assert abs(r1 - r2) / abs(r1) < 1e-6
 
     def test_hecke_action_marker_out_of_scope(self):
-        # det-2 enumeration is supported, but no eigenvalue machinery:
-        # the m = 2 ratio against a transformed form is deliberately not
-        # asserted anywhere (declared non-goal); the kernel still evaluates
+        # det-2 enumeration is supported, but no eigenvalue machinery; the
+        # m = 2 ratio omega_2 = tau(2) 2^(-11) omega_1 is asserted in
+        # test_latsum.py::test_hecke_relation_at_large_height; the kernel still evaluates
         from heckekernel.latsum import omega_direct
         from heckekernel.types import TruncationPolicy
 

@@ -64,3 +64,18 @@ def test_installed_wrappers_are_looked_up_at_call_time(tracing):
     assert rec.chunks[0] == 21  # one chunk per c in 0..H
     assert sum(sp[tracing.TERMS] for sp in rec.spans) > 0
     assert (latsum.ball_sum, latsum.xi_term_fn, accumulate.chunked_sum) == originals
+
+
+def test_traced_zeta_build_has_no_per_c_span(tracing):
+    # a traced cold build at the CLI's C = 4000 calls no traced attribute
+    # once per c: one kloosterman_zeta span, no unit_inverse_table span
+    rs = tuple(continuation._modes(8))
+    rec = tracing.Recorder()
+    with rec.installed():
+        rec.op = 0
+        continuation._kloosterman_zeta_cached(rs, rs, 3.125, 4000, "derived")
+    names = [sp[tracing.NAME] for sp in rec.spans]
+    assert names.count("continuation.kloosterman_zeta") == 1
+    assert rec.spans[names.index("continuation.kloosterman_zeta")][tracing.MISS]
+    assert "arith.unit_inverse_table" not in names
+    assert len(names) == len(set(names))
