@@ -17,7 +17,6 @@ from .types import (
     CheckReport,
     EvalResult,
     FourierAssemblyConfig,
-    IntMatrix2,
     PhiArgs,
     TruncationPolicy,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "EvalResult",
     "FourierAssemblyConfig",
     "HeckeKernelError",
-    "IntMatrix2",
     "NearDiagonal",
     "NotConverged",
     "PhiArgs",

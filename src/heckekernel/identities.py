@@ -18,7 +18,7 @@ from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix, weil_bound
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
 from .latsum import omega_direct, s_series_direct
-from .modforms import default_cache, delta_value, theorem3_rhs
+from .modforms import delta_value, theorem3_rhs
 from .special import zeta_fn
 from .types import CheckReport, FourierAssemblyConfig, TruncationPolicy
 
@@ -267,11 +267,39 @@ def _ramanujan_sieve(C: int, r: int) -> np.ndarray:
     return out[1:]
 
 
+# Zagier's theorem at weight 12, det 1: <Delta, omega_1(., conj z2; 12)>
+# = C_12 Delta(z2), so the kernel is C_12 Delta(z1) conj Delta(z2) / <Delta, Delta>
+_C12 = math.pi / (2.0**9 * 11.0)
+_GAUSS_NODES = 32  # per axis of the fundamental-domain rule
+_PETERSSON_H = 30  # height ball of omega at each node
+
+
+def _fundamental_domain_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes z, weights w and Delta(z) of the tensor Gauss rule for the
+    weight-12 Petersson product <Delta, g> = sum w Delta(z) conj g(z) over
+    the fundamental domain |x| <= 1/2, |z| >= 1, for a cusp form g.
+
+    Gauss-Legendre in x on [-1/2, 1/2] times Gauss-Laguerre at rate 4 pi in
+    t = y - sqrt(1 - x^2), the decay of a product of two cusp forms; w
+    carries the measure y^12 dx dy / y^2.
+    """
+    u, wu = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    t, wt = np.polynomial.laguerre.laggauss(_GAUSS_NODES)
+    rate = 4.0 * math.pi
+    x = u / 2.0
+    y = np.sqrt(1.0 - x**2)[:, None] + t / rate
+    w = (wu / 2.0)[:, None] * (wt * np.exp(t) / rate) * y**10
+    z = (x[:, None] + 1j * y).ravel()
+    return z, w.ravel(), np.array([delta_value(complex(p)) for p in z])
+
+
 def check_omega_proportionality(point_pairs=DEFAULT_PAIRS[:4], H: int = 400,
                                 tolerance: float = 1e-4) -> CheckReport:
-    """At weight 12, det 1 the kernel is proportional to
-    Delta(z1) conj(Delta(z2)); the common ratio is reported, not asserted."""
-    policy = TruncationPolicy(H=H, tol=1e-2, refine="none")
+    """At weight 12, det 1 the kernel is kappa Delta(z1) conj(Delta(z2))
+    with kappa = C_12 / <Delta, Delta>.  The residuals are each pair's ratio
+    against the mean ratio, then |mean <Delta, Delta> / C_12 - 1| with the
+    norm from the Gauss rule."""
+    policy = TruncationPolicy(H=H, tol=1e-2)
     ratios = []
     report = CheckReport(name="omega_proportionality", tolerance=tolerance)
     for z1, z2 in point_pairs:
@@ -281,67 +309,33 @@ def check_omega_proportionality(point_pairs=DEFAULT_PAIRS[:4], H: int = 400,
     for (z1, z2), ratio in zip(point_pairs, ratios):
         report.points.append((z1, z2))
         report.residuals.append(abs(ratio - mean) / abs(mean))
-    report.details = f"measured proportionality constant {mean.real:.10g}{mean.imag:+.3e}j at H={H}"
+    _, w, delta = _fundamental_domain_rule()
+    norm = float(np.sum(w * np.abs(delta) ** 2))
+    report.points.append("kappa <Delta, Delta> / C_12")
+    report.residuals.append(abs(mean * norm / _C12 - 1.0))
+    report.details = (f"measured proportionality constant {mean.real:.10g}{mean.imag:+.3e}j "
+                      f"at H={H}; C_12 / <Delta, Delta> = {_C12 / norm:.10g}")
     return report
 
 
 def check_petersson(z2_list=(0.1 + 1.1j, -0.2 + 0.9j, 0.3 + 1.3j),
-                    nx: int = 200, ny: int = 400, y_cap: float = 20.0,
-                    H: int = 60, tolerance: float = 1e-2) -> CheckReport:
-    """Fundamental-domain quadrature of Delta against the weight-12 kernel.
+                    tolerance: float = 1e-10) -> CheckReport:
+    """Zagier's theorem at weight 12, det 1 with its constant:
+    <Delta, omega_1(., conj z2; 12)> = C_12 Delta(z2), C_12 = pi / (2^9 11).
 
-    Midpoint rule on {|x| <= 1/2, |z| >= 1, y <= y_cap}; asserts the ratio
-    integral / Delta(z2) is z2-independent and cross-reports it against
-    the proportionality constant and C_12 = pi / (2^9 11).
+    The product is the tensor Gauss rule of _fundamental_domain_rule with
+    omega_direct at each node; the residual at each z2 is
+    |integral / (C_12 Delta(z2)) - 1|.
     """
-    xs = (np.arange(nx) + 0.5) / nx - 0.5
-    ys = np.exp(np.linspace(math.log(math.sqrt(3.0) / 2.0), math.log(y_cap), ny + 1))
-    y_mid = 0.5 * (ys[1:] + ys[:-1])
-    y_wid = ys[1:] - ys[:-1]
-    X, Y = np.meshgrid(xs, y_mid, indexing="ij")
-    W = np.broadcast_to(y_wid[None, :], X.shape) / nx
-    Z = X + 1j * Y
-    inside = np.abs(Z) >= 1.0
-    pts = Z[inside]
-    wts = W[inside]
-    cache = default_cache()
-    delta_vals = np.array([cache.delta_at(complex(z)) for z in pts])
+    z, w, delta = _fundamental_domain_rule()
+    policy = TruncationPolicy(H=_PETERSSON_H, tol=1e-2)
     report = CheckReport(name="petersson", tolerance=tolerance)
-    ratios = []
     for z2 in z2_list:
-        omega_vals = _omega_on_grid(pts, z2, 12, H)
-        integrand = delta_vals * np.conj(omega_vals) * pts.imag**10
-        integral = complex(np.sum(integrand * wts))
-        ratios.append(integral / cache.delta_at(z2))
-    mean = sum(ratios) / len(ratios)
-    for z2, ratio in zip(z2_list, ratios):
+        omega = np.array([omega_direct(complex(p), z2, 12, 1, policy).value for p in z])
+        integral = complex(np.sum(w * delta * np.conj(omega)))
         report.points.append(z2)
-        report.residuals.append(abs(ratio - mean) / abs(mean))
-    c12 = math.pi / (2.0**9 * 11.0)
-    # loop closure: the same grid's Delta norm times the measured
-    # proportionality constant must reproduce the integral ratio
-    norm_grid = float(np.sum(np.abs(delta_vals) ** 2 * pts.imag**10 * wts))
-    z1p, z2p = DEFAULT_PAIRS[0]
-    w = omega_direct(z1p, z2p, 12, 1, TruncationPolicy(H=max(200, H), tol=1e-2, refine="none"))
-    kappa = w.value / (delta_value(z1p) * delta_value(z2p).conjugate())
-    closure = mean / (kappa.conjugate() * norm_grid)
-    report.details = (
-        f"integral/Delta(z2) = {mean:.6g}; C_12 = {c12:.6g}; "
-        f"discrepancy factor vs C_12: {(mean / c12).real:.6g}{(mean / c12).imag:+.2e}j; "
-        f"grid norm |Delta|^2 = {norm_grid:.6g}; "
-        f"loop closure ratio vs kappa*norm: {closure.real:.6g}{closure.imag:+.2e}j"
-    )
+        report.residuals.append(abs(integral / (_C12 * delta_value(z2)) - 1.0))
+    report.details = (f"{_GAUSS_NODES}x{_GAUSS_NODES} Gauss rule over the fundamental domain, "
+                      f"omega at H={_PETERSSON_H}; worst |integral / (C_12 Delta(z2)) - 1| = "
+                      f"{max(report.residuals, default=0.0):.1e}")
     return report
-
-
-def _omega_on_grid(pts: np.ndarray, z2: complex, k: int, H: int) -> np.ndarray:
-    """omega_1(z, conj z2, k) for an array of z (vectorized over z)."""
-    out = np.zeros(pts.shape, dtype=np.complex128)
-    z2b = complex(z2).conjugate()
-    from .latsum import enumerate_matrices
-
-    for g in enumerate_matrices(1, H):
-        mu2 = g.c * pts * z2b + g.d * z2b - g.a * pts - g.b
-        out += mu2 ** (-k)
-    return out
-

@@ -21,7 +21,7 @@ enumerated and c > 0 chunks carry weight 2.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -29,45 +29,11 @@ from .accumulate import chunked_sum, tree_sum
 from .arith import unit_inverse_table
 from .errors import NearDiagonal, PoleAt
 from .special import hurwitz_tail
-from .types import EvalResult, IntMatrix2, TruncationPolicy, accept, nonzero_imag, upper_half
+from .types import EvalResult, TruncationPolicy, accept, nonzero_imag, upper_half
 
 _MARGIN = 0.1
 _BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
 _SLICE_BLOCK = 1 << 15  # grid elements per xic_slice block (cache-sized)
-
-
-def enumerate_matrices(m: int, H: int) -> Iterator[IntMatrix2]:
-    """Every integer matrix with det = m and max |entry| <= H, exactly once."""
-    if m < 1 or H < 1:
-        raise ValueError("need m >= 1 and H >= 1")
-    # c = 0: ad = m, b free
-    for a in range(-H, H + 1):
-        if a == 0 or m % a:
-            continue
-        d = m // a
-        if abs(d) <= H:
-            for b in range(-H, H + 1):
-                yield IntMatrix2(a, b, 0, d)
-    for c in range(-H, H + 1):
-        if c == 0:
-            continue
-        cc = abs(c)
-        for a in range(-H, H + 1):
-            g = math.gcd(abs(a), cc) if a else cc
-            if m % g:
-                continue
-            cg = cc // g
-            if cg == 1:
-                d_iter = range(-H, H + 1)  # congruence trivial mod 1
-            else:
-                inv = pow((a // g) % cg, -1, cg)
-                d0 = ((m // g) * inv) % cg
-                first = d0 - cg * ((d0 + H) // cg)
-                d_iter = range(first, H + 1, cg)
-            for d in d_iter:
-                b, rem = divmod(a * d - m, c)
-                if rem == 0 and abs(b) <= H:
-                    yield IntMatrix2(a, b, c, d)
 
 
 TermFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -154,20 +120,22 @@ def _mu_pair(z1: complex, z2: complex, c: int, a: np.ndarray, b: np.ndarray,
 
 def _bucket_sums(terms: np.ndarray, bucket: np.ndarray, nb: int) -> np.ndarray:
     """Sum of the terms in each of nb height buckets, one pairwise np.sum
-    per bucket over its terms in enumeration order."""
+    per bucket over its terms in enumeration order, then sum |terms|."""
+    scale = np.abs(terms).sum()
     if nb == 1:
-        return np.array([terms.sum()])
+        return np.array([terms.sum(), scale])
     order = np.argsort(bucket, kind="stable")
     grouped = terms[order]
     ends = np.cumsum(np.bincount(bucket, minlength=nb)).tolist()
-    return np.array([grouped[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+    return np.array([grouped[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)] + [scale])
 
 
 def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
                  term_fn: TermFn) -> np.ndarray:
     """Sums over the det-m matrices with this c >= 0 (with their negations),
     one per height in the sorted, distinct heights: entry j sums the
-    matrices with max(|a|, |b|, c, |d|) <= heights[j].
+    matrices with max(|a|, |b|, c, |d|) <= heights[j], and a last entry
+    sums |term| over the largest ball.
 
     Only the live points of the largest ball are enumerated, once.  For
     c > 0 the matrices are grouped by g = gcd(a, c), which must divide m:
@@ -181,7 +149,7 @@ def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
     H = int(heights[-1])
     live = heights[heights >= c]  # every point of this chunk has height >= c
     bucket_of = np.searchsorted(live, np.arange(H + 1)).astype(np.min_scalar_type(live.size))
-    total = np.zeros(heights.size, dtype=np.complex128)
+    total = np.zeros(heights.size + 1, dtype=np.complex128)
     if c == 0:
         b = np.arange(-H, H + 1, dtype=np.int64)
         for a in range(1, H + 1):
@@ -196,7 +164,8 @@ def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
             mu2 = d * z2.conjugate() - a * z1 - b
             bucket = bucket_of[np.maximum(np.abs(b), max(a, d))]
             total += 2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size)
-        return np.cumsum(total)
+        total[:-1] = np.cumsum(total[:-1])
+        return total
     vals = []
     for g in range(1, math.gcd(c, m) + 1):
         if c % g or m % g:
@@ -249,24 +218,28 @@ def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
             vals.append(2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size))
     if vals:
         total[heights.size - live.size:] = tree_sum(vals)
-    return np.cumsum(total)
+    total[:-1] = np.cumsum(total[:-1])
+    return total
 
 
-def ball_sum(z1: complex, z2: complex, m: int, heights, term_fn: TermFn) -> np.ndarray:
+def ball_sum(z1: complex, z2: complex, m: int, heights,
+             term_fn: TermFn) -> tuple[np.ndarray, float]:
     """Sum term_fn(mu1, mu2) over all det-m matrices with height <= h, for
-    every h in heights (one value per entry, in the given order).
+    every h in heights (one value per entry, in the given order), and the
+    sum of |term| over the ball of the largest height.
 
-    One pass over the ball of the largest height: one chunk per c in
-    0..max(heights) (see _chunk_value), each giving every height at once,
-    combined along the fixed reduction tree of chunked_sum.  A given
-    heights tuple always gives the same bits.
+    One pass over that ball: one chunk per c in 0..max(heights) (see
+    _chunk_value), each giving every height at once, combined along the
+    fixed reduction tree of chunked_sum.  A given heights tuple always
+    gives the same bits.
     """
     edges = np.unique(np.asarray(heights, dtype=np.int64))
 
     def chunk(c: int) -> np.ndarray:
         return _chunk_value(z1, z2, m, c, edges, term_fn)
 
-    return chunked_sum(int(edges[-1]) + 1, chunk)[np.searchsorted(edges, heights)]
+    sums = chunked_sum(int(edges[-1]) + 1, chunk)
+    return sums[np.searchsorted(edges, heights)], float(sums[-1].real)
 
 
 def _ladder(H: int) -> list[int]:
@@ -276,36 +249,38 @@ def _ladder(H: int) -> list[int]:
 
 
 def _cutoff_spread(vals) -> tuple[complex, float]:
-    """R(h_0) and the one truncation-error rule of every height-ball sum:
-    the largest change of R as the cutoff drops along the ladder to
-    h_1..h_4, between H/2 and H.  vals holds R at h_0..h_4."""
+    """R(h_0) and the largest change of R as the cutoff drops along the
+    ladder to h_1..h_4, between H/2 and H.  vals holds R at h_0..h_4."""
     return complex(vals[0]), float(max(abs(vals[0] - v) for v in vals[1:5]))
 
 
-def _raw_spread(vals, decay: float) -> tuple[complex, float]:
-    """_cutoff_spread of unfitted sums whose truncation error decays like
-    H^(-decay), the spread divided by 1 - 2^(-decay): a slow tail past H
-    exceeds its change over H/2..H by up to that factor."""
+def _ball_spread(vals, decay: float, abs_sum: float) -> tuple[complex, float]:
+    """The one spread rule of every height-ball sum, fitted or raw: the
+    _cutoff_spread of values whose truncation error decays like H^(-decay),
+    divided by 1 - 2^(-decay) (a slow tail past H exceeds its change over
+    H/2..H by up to that factor), plus the round-off floor 2e-16 abs_sum
+    of _line_result, abs_sum the sum of |term| over the largest ball."""
     value, spread = _cutoff_spread(vals)
-    return value, spread / (1.0 - 2.0 ** -decay)
+    return value, spread / (1.0 - 2.0 ** -decay) + 2e-16 * abs_sum
 
 
 def _refined_ball_value(z1, z2, m, policy: TruncationPolicy, term_fn, decay: float):
     """Ball sum with the policy's refinement at each cutoff h_0..h_4 of
-    _cutoff_spread, every rung of the _ladder from one ball_sum.  The
-    truncation error behaves like alpha H^(-decay) (1 + O(1/H)): lsq fits
-    S + alpha h^(-decay) + beta h^(-decay-1) over the rungs h_j..h_(j+5)
-    (limit_fit), averaging out the oscillation of the sharp height cut.
-    With no refinement (or decay >= 3) the value is the raw ball sum and
-    the spread is widened by _raw_spread."""
+    _cutoff_spread, every rung of the _ladder from one ball_sum, and its
+    _ball_spread.  The truncation error behaves like alpha H^(-decay)
+    (1 + O(1/H)): lsq fits S + alpha h^(-decay) + beta h^(-decay-1) over
+    the rungs h_j..h_(j+5) (limit_fit), averaging out the oscillation of
+    the sharp height cut.  With no refinement (or decay >= 3) the values
+    are the raw ball sums."""
     rungs = _ladder(policy.H)
-    if policy.refine == "none" or decay >= 3.0:
-        return _raw_spread(ball_sum(z1, z2, m, rungs[:5], term_fn), decay)
-    if min(len(set(rungs[j:j + 6])) for j in range(5)) < 3:  # one per power
+    fit = policy.refine == "lsq" and decay < 3.0
+    if fit and min(len(set(rungs[j:j + 6])) for j in range(5)) < 3:  # one per power
         raise ValueError(f"H = {policy.H} is too small for a fitted sum (need H >= 6)")
-    sums = ball_sum(z1, z2, m, rungs, term_fn)
-    return _cutoff_spread([limit_fit(rungs[j:j + 6], sums[j:j + 6], (0.0, -decay, -decay - 1.0))
-                           for j in range(5)])
+    sums, abs_sum = ball_sum(z1, z2, m, rungs if fit else rungs[:5], term_fn)
+    if fit:
+        sums = [limit_fit(rungs[j:j + 6], sums[j:j + 6], (0.0, -decay, -decay - 1.0))
+                for j in range(5)]
+    return _ball_spread(sums, decay, abs_sum)
 
 
 def limit_fit(xs, ys, powers) -> complex:
@@ -503,7 +478,7 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     Unshifted sums the true terms over the height ball with xi_direct's
     chunk kernel, halved (xi_direct pairs c with -c), so xi0 + 2 xic
     reproduces xi_direct at matched cutoffs; C is capped at H and scales with
-    it in the error, _raw_spread of the sums in H (decay 4s - 2n - 2, as
+    it in the error, _ball_spread of the sums in H (decay 4s - 2n - 2, as
     xi_direct's).  Shifted drops the
     1/c offset of both kernels (the Fourier-assembled series), sums
     xic_slice's rectangular |k|, |l| <= H windows and takes _cutoff_spread
@@ -520,9 +495,9 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
         term_fn, hs = xi_term_fn(n, s), _ladder(policy.H)[:5]
         edges, cm = np.unique(hs), min(policy.C, policy.H)
         chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
-        value, err = _raw_spread([
+        value, err = _ball_spread([
             tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
-            for h in hs], 4.0 * s - 2.0 * n - 2.0)
+            for h in hs], 4.0 * s - 2.0 * n - 2.0, tree_sum([ch[-1] for ch in chunks]).real)
     return accept(value, err, "direct", policy.tol, policy, warnings)
 
 

@@ -1,4 +1,4 @@
-"""Shared value types: points, matrices, truncation policies, results.
+"""Shared value types: points, truncation policies, results.
 
 Upper half-plane points are plain ``complex`` numbers; ``upper_half``
 validates them at API boundaries instead of wrapping them in a class.
@@ -26,23 +26,6 @@ def nonzero_imag(z: complex, name: str = "z") -> complex:
     if z.imag == 0:
         raise ValueError(f"{name} must have nonzero imaginary part, got {z}")
     return z
-
-
-@dataclass(frozen=True)
-class IntMatrix2:
-    """Integer 2x2 matrix (a, b; c, d)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def height(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
 @dataclass(frozen=True)

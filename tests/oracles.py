@@ -8,6 +8,8 @@ test can compare the two.  Nothing in ``src/`` imports this module.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -15,7 +17,59 @@ from heckekernel.arith import kloosterman_matrix
 from heckekernel.continuation import _kloosterman_zeta_cached, _weil_zeta_tail
 from heckekernel.latsum import limit_fit, psi_direct
 from heckekernel.special import bessel_k, gamma_fn, rgamma
-from heckekernel.types import IntMatrix2, TruncationPolicy
+from heckekernel.types import TruncationPolicy
+
+
+@dataclass(frozen=True)
+class IntMatrix2:
+    """Integer 2x2 matrix (a, b; c, d)."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    @property
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    def height(self) -> int:
+        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+
+
+def enumerate_matrices(m: int, H: int) -> Iterator[IntMatrix2]:
+    """Every integer matrix with det = m and max |entry| <= H, exactly once,
+    one at a time: the brute-force reference for latsum.ball_sum."""
+    if m < 1 or H < 1:
+        raise ValueError("need m >= 1 and H >= 1")
+    # c = 0: ad = m, b free
+    for a in range(-H, H + 1):
+        if a == 0 or m % a:
+            continue
+        d = m // a
+        if abs(d) <= H:
+            for b in range(-H, H + 1):
+                yield IntMatrix2(a, b, 0, d)
+    for c in range(-H, H + 1):
+        if c == 0:
+            continue
+        cc = abs(c)
+        for a in range(-H, H + 1):
+            g = math.gcd(abs(a), cc) if a else cc
+            if m % g:
+                continue
+            cg = cc // g
+            if cg == 1:
+                d_iter = range(-H, H + 1)  # congruence trivial mod 1
+            else:
+                inv = pow((a // g) % cg, -1, cg)
+                d0 = ((m // g) * inv) % cg
+                first = d0 - cg * ((d0 + H) // cg)
+                d_iter = range(first, H + 1, cg)
+            for d in d_iter:
+                b, rem = divmod(a * d - m, c)
+                if rem == 0 and abs(b) <= H:
+                    yield IntMatrix2(a, b, c, d)
 
 
 def alpha_moment_sum(m: int, sigma: float) -> complex:

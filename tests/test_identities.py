@@ -7,11 +7,13 @@ import pytest
 from heckekernel.errors import AmbiguousNormalization
 from heckekernel.identities import (
     DEFAULT_PAIRS,
+    _fundamental_domain_rule,
     check_dbar_z1,
     check_dbar_z2,
     check_dirichlet,
     check_lemma1,
     check_omega_proportionality,
+    check_petersson,
     check_theorem3,
     check_weil,
 )
@@ -104,11 +106,32 @@ class TestDirichletAndWeil:
         assert violations > 0
 
 
+# <Delta, Delta>, weight-12 Petersson norm of the normalised discriminant
+PUBLISHED_DELTA_NORM = 1.035362056804320922e-6
+
+
 class TestOmegaProportionality:
     def test_constant_ratio(self):
         rep = check_omega_proportionality(H=200)
         assert rep.passed
         assert "proportionality constant" in rep.details
+
+    def test_constant_is_zagiers(self):
+        # the last residual is |kappa <Delta, Delta> / C_12 - 1|
+        rep = check_omega_proportionality(H=200, tolerance=1e-10)
+        assert rep.points[-1] == "kappa <Delta, Delta> / C_12"
+        assert rep.residuals[-1] <= 1e-12
+        assert rep.passed
+
+    def test_gauss_rule_delta_norm(self):
+        _, w, delta = _fundamental_domain_rule()
+        norm = float(np.sum(w * np.abs(delta) ** 2))
+        assert abs(norm / PUBLISHED_DELTA_NORM - 1.0) <= 1e-12
+
+    def test_petersson_with_constant(self):
+        rep = check_petersson(z2_list=(0.1 + 1.1j,))
+        assert rep.tolerance == 1e-10
+        assert rep.passed
 
     def test_translation_invariant_ratio(self):
         from heckekernel.latsum import omega_direct

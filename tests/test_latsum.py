@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckekernel.latsum import (
     _inverse_expansion,
     _line_tail,
     ball_sum,
-    enumerate_matrices,
     omega_direct,
     omega_n_direct,
     omega_n_term_fn,
@@ -31,9 +30,9 @@ from heckekernel.arith import unit_inverse_table
 from heckekernel.continuation import alpha_const, beta_mode, s_series_fourier, shift_correction
 from heckekernel.errors import NearDiagonal, NotConverged
 from heckekernel.modforms import delta_series, delta_value
-from heckekernel.types import FourierAssemblyConfig, IntMatrix2, TruncationPolicy
+from heckekernel.types import FourierAssemblyConfig, TruncationPolicy
 
-from oracles import mu, mu_factorized, psi_residue_fit
+from oracles import IntMatrix2, enumerate_matrices, mu, mu_factorized, psi_residue_fit
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -132,7 +131,7 @@ class TestBallSumEngine:
     def test_vectorized_engine_matches_enumeration(self, name, term_fn):
         H = 9
         ref = enum_term_sum(term_fn, Z1, Z2, 1, H)
-        val = ball_sum(Z1, Z2, 1, (H,), term_fn)[0]
+        val = ball_sum(Z1, Z2, 1, (H,), term_fn)[0][0]
         assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 9, 12])
@@ -140,7 +139,7 @@ class TestBallSumEngine:
         term_fn = omega_term_fn(12)
         for H in (6, 13):
             ref = enum_term_sum(term_fn, Z1, Z2, m, H)
-            val = ball_sum(Z1, Z2, m, (H,), term_fn)[0]
+            val = ball_sum(Z1, Z2, m, (H,), term_fn)[0][0]
             # |ref| is 1e-5 to 5e-10, so the relative bound is the real check
             assert abs(val - ref) < 1e-15, (m, H)
             assert abs(val - ref) <= 1e-13 * abs(ref), (m, H)
@@ -151,18 +150,19 @@ class TestBallSumEngine:
             return np.ones(mu1.shape)
 
         heights = tuple(range(1, 14))
-        counts = ball_sum(Z1, Z2, m, heights, ones)
+        counts, abs_sum = ball_sum(Z1, Z2, m, heights, ones)
         for H, count in zip(heights, counts):
             assert count == sum(1 for _ in enumerate_matrices(m, H)), (m, H)
+        assert abs_sum == counts[-1]  # sum |term| over the largest ball
 
     @settings(max_examples=20, deadline=None)
     @given(heights=st.lists(st.integers(1, 60), min_size=1, max_size=6),
            m=st.integers(1, 12))
     def test_heights_tuple_matches_single_heights(self, heights, m):
         fn = omega_term_fn(12) if m > 1 else xi_term_fn(1, 1.4)
-        vals = ball_sum(Z1, Z2, m, tuple(heights), fn)
+        vals, _ = ball_sum(Z1, Z2, m, tuple(heights), fn)
         for H, val in zip(heights, vals):
-            ref = ball_sum(Z1, Z2, m, (H,), fn)[0]
+            ref = ball_sum(Z1, Z2, m, (H,), fn)[0][0]
             assert abs(val - ref) <= 1e-14 * abs(ref), (m, H)
 
 
@@ -195,6 +195,13 @@ class TestOmega:
         for m in range(2, 7):
             wm = omega_direct(z1, z2, 12, m, pol).value
             assert abs(wm - tau[m] * m**-11 * w1) <= 1e-12 * abs(wm), m
+
+    def test_estimate_has_round_off_floor(self):
+        # the height-ball sums h_0..h_4 agree to the last bit here, so the
+        # estimate is the round-off floor 2e-16 sum |terms| alone
+        r = omega_direct(0.85j, -0.3 + 0.43j, 12, 1, TruncationPolicy(H=200, tol=1e-2))
+        assert abs(r.value) > 0.28
+        assert r.err_estimate > 0.0
 
     @pytest.mark.parametrize("refine", ["lsq"])
     @pytest.mark.parametrize("H", [100, 200])
@@ -297,6 +304,7 @@ class TestXi:
     @given(x1=st.floats(-0.5, 0.49), x2=st.floats(-0.5, 0.49), ly1=st.floats(0.0, math.log(2.0)),
            ly2=st.floats(0.0, math.log(2.0)), n=st.integers(0, 1), decay=st.floats(1.5, 2.99),
            H=st.integers(80, 200))
+    @example(x1=0.0, x2=0.0, ly1=0.0, ly2=0.25, n=0, decay=1.5, H=181)
     def test_estimate_covers_error(self, x1, x2, ly1, ly2, n, decay, H):
         # decay = 4s - 2n - 2 is the power of H in the truncation error
         z1, z2 = complex(x1, math.exp(ly1)), complex(x2, math.exp(ly2))
@@ -328,6 +336,7 @@ class TestXi:
     @given(x1=st.floats(-0.5, 0.49), x2=st.floats(-0.5, 0.49), ly1=st.floats(0.0, math.log(2.0)),
            ly2=st.floats(0.0, math.log(2.0)), n=st.integers(0, 1), decay=st.floats(0.3, 2.99),
            H=st.integers(80, 200))
+    @example(x1=0.0, x2=0.0, ly1=0.0, ly2=0.3, n=1, decay=2.648, H=97)  # Xi = 0 by symmetry
     def test_raw_estimate_covers_error(self, x1, x2, ly1, ly2, n, decay, H):
         # a raw sum either covers its error or refuses: at decay ~0.5 and
         # H = 80 the estimate can exceed 0.1 |value|
@@ -689,7 +698,7 @@ class TestOmegaN:
 class TestPsi:
     def test_positive_and_monotone_in_height(self):
         fn = psi_term_fn(1, 1.4)
-        vals = [ball_sum(Z1, Z2, 1, (H,), fn)[0].real for H in (25, 50, 100, 200)]
+        vals = [ball_sum(Z1, Z2, 1, (H,), fn)[0][0].real for H in (25, 50, 100, 200)]
         assert all(v > 0 for v in vals)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
