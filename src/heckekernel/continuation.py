@@ -49,9 +49,9 @@ import numpy as np
 from .accumulate import tree_sum
 from .arith import divisor_sieve, divisor_sigma, kloosterman_sums
 from .errors import PoleAt
-from .special import gamma_fn, phi_factor, rgamma, zeta_fn, zeta_near_one
+from .special import gamma_fn, hurwitz_tail, phi_factor, rgamma, zeta_fn, zeta_near_one
 from .latsum import (convergence_warnings, limit_fit, omega_n_direct, xi0_direct, xi_direct,
-                     xic_slice)
+                     xic_offset_diffs)
 from .types import (EvalResult, FourierAssemblyConfig, PhiArgs, TruncationPolicy, accept,
                     nonzero_imag, upper_half)
 
@@ -234,26 +234,29 @@ def shift_correction(z1: complex, z2: complex, n: int, s: float,
     """sum over c > 0 terms of [true - shifted], absolutely convergent at
     the boundary (one extra order of decay in every direction).
 
-    Each c-slice is xic_slice's fused true-term pass over the corr_K
-    window minus the shifted window in its exactly factorized form, so the
-    shifted half costs O(phi(c) K) instead of O(phi(c) K^2).
+    Each c-slice over the corr_K window comes from latsum.xic_offset_diffs:
+    for the few small c whose offset bound tau_c = 1/(c^2 y1 y2) exceeds
+    tau* = 1/25, xic_slice's 2-D true pass minus the factorized shifted
+    window; for every other c, xic_offset_expansion, the Gegenbauer
+    expansion of each term in its 1/c offset, at the order J(c) whose
+    Cauchy bound puts the truncation below 2^-53 of the shifted terms.
+
+    The estimate adds the c-tail past corr_C (_c_tail) and twice the
+    change of the slices c <= 5 when the window is halved.
     """
+    vals = xic_offset_diffs(z1, z2, n, s, cfg.corr_C, cfg.corr_K)
+    half = xic_offset_diffs(z1, z2, n, s, min(5, cfg.corr_C), max(8, cfg.corr_K // 2))
+    window_diff = sum(abs(h - v) for h, v in zip(half, vals))
+    return tree_sum(vals), _c_tail(vals) + 2.0 * window_diff
 
-    def diff_slice(c: int, K: int) -> complex:
-        t = xic_slice(z1, z2, c, n, s, K, shifted=False)
-        sft = xic_slice(z1, z2, c, n, s, K, shifted=True)
-        return t - sft
 
-    vals = [diff_slice(c, cfg.corr_K) for c in range(1, cfg.corr_C + 1)]
-    total = tree_sum(vals)
-    # c-tail ~ |last slice| * C / 2 for a 1/c^3 envelope; window tail from
-    # halving the lattice window
-    c_tail = abs(vals[-1]) * cfg.corr_C / 2.0
-    half_K = max(8, cfg.corr_K // 2)
-    window_diff = 0.0
-    for c in range(1, min(6, cfg.corr_C + 1)):
-        window_diff += abs(diff_slice(c, half_K) - vals[c - 1])
-    return total, c_tail + 2.0 * window_diff
+def _c_tail(vals) -> float:
+    """Estimate of sum_(c > C) of the slices v_c, c = 1..C = len(vals), from
+    their 1/c^3 envelope: max over C/2 < c <= C of |v_c| c^3, times
+    sum_(c > C) c^(-3).  One slice alone can nearly cancel."""
+    C = len(vals)
+    envelope = max(abs(v) * c**3 for c, v in enumerate(vals, 1) if 2 * c > C)
+    return envelope * hurwitz_tail(3.0, C + 1)
 
 
 # ---------------------------------------------------------------------------

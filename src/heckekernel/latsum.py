@@ -20,6 +20,7 @@ enumerated and c > 0 chunks carry weight 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -33,7 +34,9 @@ from .types import EvalResult, TruncationPolicy, accept, nonzero_imag, upper_hal
 
 _MARGIN = 0.1
 _BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
-_SLICE_BLOCK = 1 << 15  # grid elements per xic_slice block (cache-sized)
+_SLICE_BLOCK = 1 << 15  # grid elements per xic_slice / expansion block (cache-sized)
+_OFFSET_TAU = 1.0 / 25.0  # tau*: a c-slice with tau_c above it keeps the 2-D true pass
+_OFFSET_EPS = 2.0**-53  # offset-expansion truncation, relative to sum |shifted terms|
 
 
 TermFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -501,6 +504,48 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     return accept(value, err, "direct", policy.tol, policy, warnings)
 
 
+def _unit_rows(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the units a0 mod c and of d0, the 1..c representative of
+    -a0^(-1) (mod c), as floats: one row per unit of a c-slice."""
+    units, invs = unit_inverse_table(c)
+    d0 = (-invs) % c
+    d0[d0 == 0] = c
+    return units.astype(np.float64)[:, None], d0.astype(np.float64)[:, None]
+
+
+def _window_axes(z1: complex, z2: complex, c, a0: np.ndarray, d0: np.ndarray,
+                 K: int) -> tuple[np.ndarray, np.ndarray]:
+    """U = c z1 + d along l and v = z2 - a/c along k, |k|, |l| <= K, one row
+    per unit (c is an int or a column, one c per row).  The windows are
+    centred on the points, so integer shifts of z1, z2 are exact
+    reindexings of the truncated sum."""
+    k_off = np.round(z2.real + a0 / c)
+    l_off = np.round(-z1.real - d0 / c)
+    kk = np.arange(-K, K + 1, dtype=np.float64)
+    U = np.empty((a0.shape[0], kk.size), dtype=np.complex128)
+    v = np.empty_like(U)
+    # real and imaginary parts apart: the bits of the complex expressions
+    # c ((z1 + d0/c + l_off) + kk) and (z2 + a0/c - k_off) - kk
+    np.multiply(c, (z1.real + d0 / c + l_off) + kk, out=U.real)
+    U.imag = c * z1.imag
+    np.subtract((z2.real + a0 / c) - k_off, kk, out=v.real)
+    v.imag = z2.imag
+    return U, v
+
+
+def _u_weights(U: np.ndarray, n: int, s: float) -> np.ndarray:
+    """conj(U)^(2n) |U|^(-4s), the l-side factor of a shifted term."""
+    w = (U.real**2 + U.imag**2) ** (-2.0 * s)
+    return np.conj(U) ** (2 * n) * w if n else w
+
+
+def _block_views(bufs, shape) -> list[np.ndarray]:
+    """Contiguous views of the given shape on the heads of flat buffers, so
+    a block reuses them (out=) and sums in the order of a fresh array."""
+    size = math.prod(shape)
+    return [b[:size].reshape(shape) for b in bufs]
+
+
 def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
               shifted: bool = False) -> complex:
     """One c-slice of the c > 0 Xi_n sum (determinant 1) over the (a0, k, l)
@@ -509,8 +554,7 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     With U = c z1 + d, v = z2 - a/c and h = 1/c the kernels are
     mu1 = U v + h and mu2 = U conj(v) + h (a/c is real), and the Xi_n term is
     conj(P)^n |P|^(-2s) with P = mu1 mu2.  The window is |k|, |l| <= K,
-    centred on the points so that integer shifts of z1, z2 reindex it
-    exactly.
+    centred on the points (_window_axes).
 
     shifted drops the offset h, so P = U^2 |v|^2 and the window sum
     factorizes exactly:
@@ -519,59 +563,203 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
 
     at O(phi(c) K) cost.
 
-    The true terms are summed over the 2-D window in cache-sized blocks.
-    P = U^2 |v|^2 + 2 h U Re(v) + h^2 has rank 3 in (l, k), so
-    Re P and Im P come out of two small matrix products with real factors;
-    then w = (|P|^2)^(-s) and the slice is conj(sum P^n w).
+    The true terms are summed over the 2-D window in cache-sized blocks
+    whose buffers are reused.  P = U^2 |v|^2 + 2 h U Re(v) + h^2 has rank 3
+    in (l, k), so Re P and Im P come out of two small matrix products with
+    real factors; then w = (|P|^2)^(-s) and the slice is conj(sum P^n w).
+    This pass costs O(phi(c) K^2) powers.  The shift correction
+    (xic_offset_diffs) takes it only for the few small c whose offset
+    bound tau_c = 1/(c^2 y1 y2) exceeds tau* = 1/25; every other c takes
+    xic_offset_expansion, the Gegenbauer expansion of each term in its
+    offset at the order J(c) of _offset_order, whose Cauchy bound keeps
+    the truncation below 2^-53 of the sum of |shifted terms|.
     """
-    units, invs = unit_inverse_table(c)
-    # d0 is the 1..c representative of -a0^(-1) (mod c)
-    d0 = (-invs) % c
-    d0[d0 == 0] = c
-    a0 = units.astype(np.float64)[:, None]
-    dd = d0.astype(np.float64)[:, None]
-    # center the windows on the points so integer shifts of z1, z2
-    # are exact reindexings of the truncated sum
-    k_off = np.round(z2.real + a0 / c)
-    l_off = np.round(-z1.real - dd / c)
-    kk = np.arange(-K, K + 1, dtype=np.float64)
-    U = c * ((z1 + dd / c + l_off) + kk)  # c z1 + d, axis 1 = l
-    v = (z2 + a0 / c - k_off) - kk  # z2 - a/c, axis 1 = k
+    U, v = _window_axes(z1, z2, c, *_unit_rows(c), K)
     X, Y = U.real, U.imag
     v_re = v.real
     v_abs2 = v_re**2 + v.imag**2
     if shifted:
-        su = (X**2 + Y**2) ** (-2.0 * s)
-        if n:
-            su = np.conj(U) ** (2 * n) * su
-        sv = v_abs2 ** (n - 2.0 * s)
-        return complex(np.sum(np.sum(su, axis=1) * np.sum(sv, axis=1)))
+        return complex(np.sum(np.sum(_u_weights(U, n, s), axis=1)
+                              * np.sum(v_abs2 ** (n - 2.0 * s), axis=1)))
     h = 1 / c
     # P = L @ R over (l, k): rows [X^2 - Y^2, 2hX, h^2] (Re) and
     # [2XY, 2hY] (Im) against columns [|v|^2, Re v, 1]
     right = np.stack([v_abs2, v_re, np.ones_like(v_re)], axis=1)
     left_re = np.stack([X * X - Y * Y, 2.0 * h * X, np.full_like(X, h * h)], axis=2)
     left_im = np.stack([2.0 * X * Y, 2.0 * h * Y], axis=2)
-    nk = kk.size
+    n_units, nk = X.shape
     rows = max(1, _SLICE_BLOCK // nk**2)
     l_step = max(1, _SLICE_BLOCK // nk)  # splits l only when one unit overfills a block
+    size = min(rows, n_units) * min(l_step, nk) * nk
+    bufs = [np.empty(size) for _ in range(6 if n > 1 else 4)]
     total = []
-    for i in range(0, units.size, rows):
+    for i in range(0, n_units, rows):
         r = slice(i, i + rows)
         for j in range(0, nk, l_step):
             lw = slice(j, j + l_step)
-            re = left_re[r, lw] @ right[r]
-            im = left_im[r, lw] @ right[r, :2]
-            w = np.square(re)
-            w += np.square(im)
+            re, im, w, tmp, *pows = _block_views(bufs, left_re[r, lw].shape[:2] + (nk,))
+            np.matmul(left_re[r, lw], right[r], out=re)
+            np.matmul(left_im[r, lw], right[r, :2], out=im)
+            pr, pi = re, im  # P^n, with w and tmp as scratch
+            if n > 1:
+                pr, pi = pows
+                pr[...], pi[...] = re, im
+                for _ in range(n - 1):
+                    np.multiply(pr, im, out=tmp)
+                    np.multiply(pi, im, out=w)
+                    pr *= re
+                    pr -= w
+                    pi *= re
+                    pi += tmp
+            np.square(re, out=w)
+            w += np.square(im, out=tmp)
             w **= -s
             if n == 0:
                 total.append(complex(np.sum(w)))
                 continue
-            pr, pi = re, im
-            for _ in range(n - 1):
-                pr, pi = pr * re - pi * im, pr * im + pi * re
             pr *= w
             pi *= w
             total.append(complex(np.sum(pr), -np.sum(pi)))
     return tree_sum(total)
+
+
+def _offset_order(tau: float, n: int, s: float) -> int:
+    """Order J >= 1 of xic_offset_expansion for a slice whose terms all
+    have |tau| <= tau < 1/2: the least J whose omitted orders j + l > J
+    are below 2^-53 of |shifted term| in every term.
+
+    For x in [-1, 1], 1/4 <= |1 - 2 x tau + tau^2| <= 9/4 on |tau| = 1/2,
+    so Cauchy's estimate there gives |C_j^(lam)(x)| <= 4^|lam| 2^j, and the
+    orders m = j + l > J of a term are at most
+    4^(|s| + |s - n|) sum_{m > J} (m + 1) (2 tau)^m times its shifted term.
+    """
+    if not 0.0 < tau < 0.5:
+        raise ValueError(f"the offset expansion needs 0 < tau < 1/2, got {tau}")
+    bound, r = 4.0 ** (abs(s) + abs(s - n)), 2.0 * tau
+    J = 1
+    while bound * r ** (J + 1) * (J + 2 - (J + 1) * r) / (1.0 - r) ** 2 > _OFFSET_EPS:
+        J += 1
+    return J
+
+
+def _gegenbauer_orders(p: np.ndarray, r: np.ndarray, lam: float, out: np.ndarray,
+                     tmp: np.ndarray) -> np.ndarray:
+    """out[j] = (-1)^j C_j^(lam)(x) rho^(-j) for every order j < len(out),
+    by the three-term recursion C_j = [2 x (j + lam - 1) C_(j-1)
+    - (j + 2 lam - 2) C_(j-2)] / j scaled by (-1/rho)^j: p = -x/rho and
+    r = 1/rho^2 (x = u/rho, rho^2 = u^2 + y2^2 need no square root)."""
+    out[0] = 1.0
+    for j in range(1, len(out)):
+        np.multiply(out[j - 1], p, out=out[j])
+        out[j] *= 2.0 * (j + lam - 1.0) / j
+        if j > 1:
+            np.multiply(out[j - 2], r, out=tmp)
+            tmp *= (j + 2.0 * lam - 2.0) / j
+            out[j] -= tmp
+    return out
+
+
+def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
+                         K: int) -> np.ndarray:
+    """xic_slice's true minus shifted window for each c in cs, every term
+    expanded in its 1/c offset; each c needs tau_c = 1/(c^2 y1 y2) < 1/2.
+
+    With U = c z1 + d, v = u + i y2 and t = h/U (h = 1/c), the true product
+    is P = U^2 q(u + t), q(u) = u^2 + y2^2.  With rho^2 = q(u), x = u/rho
+    and tau = -t/rho, the generating function of the Gegenbauer
+    polynomials C_j turns each term into
+
+        conj(U)^(2n) |U|^(-4s) rho^(2n-4s)
+            * sum_j C_j^(s)(x) tau^j * sum_l C_l^(s-n)(x) conj(tau)^l.
+
+    Its (0, 0) order is the shifted term, so the other orders sum to
+    true - shifted with no cancellation.  Per unit a0 the orders separate
+    into 1-D window sums, F_jl = sum over l of conj(U)^(2n) |U|^(-4s)
+    t^j conj(t)^l and G_jl = sum over k of rho^(2n-4s) A_j B_l with
+    A_j = (-1/rho)^j C_j^(s)(x), B_l the same at s - n, and the slice is
+    sum over units of sum_(0 < j + l <= J) F_jl G_jl: O(phi(c) K J^2)
+    work instead of the 2-D pass's O(phi(c) K^2) powers.
+
+    |tau| <= tau_c = 1/(c^2 y1 y2) in the slice of c, and the order J is
+    _offset_order(tau_c), so the truncation is below 2^-53 of the sum of
+    |shifted terms|.  The units of all c sharing a J run as one set of
+    rows, in blocks of at most _SLICE_BLOCK elements (rows x window x the
+    orders of both sides) whose buffers are reused.
+    """
+    cs = list(cs)
+    y = z1.imag * z2.imag
+    out = np.empty(len(cs), dtype=np.complex128)
+    i = 0
+    for J, run in itertools.groupby(cs, key=lambda c: _offset_order(1.0 / (c * c * y), n, s)):
+        run = list(run)
+        out[i:i + len(run)] = _expansion_run(z1, z2, run, n, s, K, J)
+        i += len(run)
+    return out
+
+
+def _expansion_run(z1: complex, z2: complex, cs: list, n: int, s: float, K: int,
+                   J: int) -> np.ndarray:
+    """xic_offset_expansion for the slices cs, all of order J."""
+    tables = [_unit_rows(c) for c in cs]
+    sizes = [a0.shape[0] for a0, _ in tables]
+    a0 = np.concatenate([a for a, _ in tables])
+    d0 = np.concatenate([d for _, d in tables])
+    c_col = np.repeat(np.asarray(cs, dtype=np.float64), sizes)[:, None]
+    nk, nj = 2 * K + 1, J + 1
+    nl = 1 if s == n else nj  # C_l^(0) = 0 for l > 0: at s = n only l = 0 is left
+    rows = max(1, _SLICE_BLOCK // (nk * (nj + nl)))  # the orders of both sides
+    size = min(rows, a0.shape[0]) * nk
+    cbufs = [np.empty(nj * size, dtype=np.complex128) for _ in range(2)]
+    rbufs = [np.empty(nj * size) for _ in range(2)]
+    row_bufs = [np.empty(size) for _ in range(2)]
+    jl = np.add.outer(np.arange(nj), np.arange(nl))
+    orders = ((jl > 0) & (jl <= J)).astype(np.float64).ravel()  # 0 < j + l <= J
+    row_vals = np.empty(a0.shape[0], dtype=np.complex128)
+    for i in range(0, a0.shape[0], rows):
+        r = slice(i, i + rows)
+        U, v = _window_axes(z1, z2, c_col[r], a0[r], d0[r], K)
+        # order-major (order, row, window) blocks, each order contiguous;
+        # the per-row matrices below are strided views of them
+        tp, wtp = _block_views(cbufs, (nj,) + U.shape)
+        A, B = _block_views(rbufs, (nj,) + U.shape)
+        B = B[:nl]
+        r_q, tmp = _block_views(row_bufs, U.shape)
+        # F_jl = sum_l w t^j conj(t)^l: (w t^j) @ conj(t^l)^T per row
+        tp[0] = 1.0
+        np.divide(1.0, c_col[r] * U, out=tp[1])
+        for j in range(2, nj):
+            np.multiply(tp[j - 1], tp[1], out=tp[j])
+        np.multiply(tp, _u_weights(U, n, s), out=wtp)
+        ctp = np.conjugate(tp[:nl], out=tp[:nl])
+        F = np.matmul(wtp.transpose(1, 0, 2), ctp.transpose(1, 2, 0))
+        # G_jl = sum_k q^(n-2s) A_j B_l
+        q = v.real**2 + v.imag**2
+        p = -v.real / q
+        np.divide(1.0, q, out=r_q)
+        _gegenbauer_orders(p, r_q, s, A, tmp)
+        if n:
+            _gegenbauer_orders(p, r_q, s - n, B, tmp)
+            B *= q ** (n - 2.0 * s)
+        else:
+            np.multiply(A, q ** (-2.0 * s), out=B)
+        G = np.matmul(A.transpose(1, 0, 2), B.transpose(1, 2, 0))
+        row_vals[r] = (F * G).reshape(U.shape[0], -1) @ orders
+    return np.add.reduceat(row_vals, np.cumsum([0] + sizes[:-1]))
+
+
+def xic_offset_diffs(z1: complex, z2: complex, n: int, s: float, C: int,
+                     K: int) -> list[complex]:
+    """xic_slice's true minus shifted window for c = 1..C.
+
+    A c whose offset bound tau_c = 1/(c^2 y1 y2) exceeds _OFFSET_TAU keeps
+    the 2-D true pass minus the factorized shifted window; every larger c
+    takes xic_offset_expansion.  On Im z >= 1 that is c <= 4 at most, and
+    c < 20 at Im z1 = Im z2 = 1/4.
+    """
+    y = z1.imag * z2.imag
+    c0 = 0
+    while c0 < C and 1.0 / ((c0 + 1) ** 2 * y) > _OFFSET_TAU:
+        c0 += 1
+    direct = [xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
+              for c in range(1, c0 + 1)]
+    return direct + xic_offset_expansion(z1, z2, range(c0 + 1, C + 1), n, s, K).tolist()

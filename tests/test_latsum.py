@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from heckekernel import latsum
 from heckekernel.latsum import (
     _inverse_expansion,
     _line_tail,
@@ -23,11 +24,14 @@ from heckekernel.latsum import (
     xi_direct,
     xi_term_fn,
     xic_direct,
+    xic_offset_diffs,
+    xic_offset_expansion,
     xic_slice,
 )
 from heckekernel.accumulate import tree_sum
 from heckekernel.arith import unit_inverse_table
-from heckekernel.continuation import alpha_const, beta_mode, s_series_fourier, shift_correction
+from heckekernel.continuation import (_c_tail, alpha_const, beta_mode, s_series_fourier,
+                                      shift_correction)
 from heckekernel.errors import NearDiagonal, NotConverged
 from heckekernel.modforms import delta_series, delta_value
 from heckekernel.types import FourierAssemblyConfig, TruncationPolicy
@@ -465,15 +469,20 @@ def _slice_reference(z1, z2, c, n, s, K, shifted=False):
 
 
 def _shift_correction_reference(z1, z2, n, s, cfg):
-    """shift_correction's value and estimate, built on _slice_reference."""
+    """shift_correction's value and estimate, built on _slice_reference:
+    the c-tail is the 1/c^3 envelope of the slices C/2 < c <= C times
+    sum_(c > C) c^(-3)."""
 
     def diff(c, K):
         return _slice_reference(z1, z2, c, n, s, K) - _slice_reference(z1, z2, c, n, s, K, shifted=True)
 
-    vals = [diff(c, cfg.corr_K) for c in range(1, cfg.corr_C + 1)]
+    C = cfg.corr_C
+    vals = [diff(c, cfg.corr_K) for c in range(1, C + 1)]
     half_K = max(8, cfg.corr_K // 2)
-    window = sum(abs(diff(c, half_K) - vals[c - 1]) for c in range(1, min(6, cfg.corr_C + 1)))
-    return tree_sum(vals), abs(vals[-1]) * cfg.corr_C / 2.0 + 2.0 * window
+    window = sum(abs(diff(c, half_K) - vals[c - 1]) for c in range(1, min(6, C + 1)))
+    envelope = max(abs(vals[c - 1]) * c**3 for c in range(C // 2 + 1, C + 1))
+    tail = envelope * (1.2020569031595942 - sum(float(c) ** -3 for c in range(1, C + 1)))  # zeta(3)
+    return tree_sum(vals), tail + 2.0 * window
 
 
 class TestSliceKernel:
@@ -517,6 +526,72 @@ class TestSliceKernel:
         # the estimate is built from differences of O(1) slices, so its
         # rounding floor is absolute (~1e-15); at n = 0 it is only ~3e-8
         assert abs(est - ref_est) <= 1e-9 * ref_est + 1e-14
+
+
+def _abs_shifted(z1, z2, c, n, s, K):
+    """Sum of |shifted term| over a c-slice window: |conj(U)^(2n) |U|^(-4s)
+    |v|^(2n-4s)| is the n = 0 term at s - n/2."""
+    return xic_slice(z1, z2, c, 0, s - n / 2.0, K, shifted=True).real
+
+
+class TestOffsetExpansion:
+    """xic_offset_expansion against xic_slice's 2-D true pass, and
+    shift_correction's split between the two."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 4), data=st.data(), x1=st.floats(-0.5, 0.5), x2=st.floats(-0.5, 0.5),
+           y1=st.floats(0.25, 2.0), y2=st.floats(0.25, 2.0), K=st.integers(8, 24))
+    def test_matches_2d_pass(self, n, data, x1, x2, y1, y2, K):
+        lo = max(1.0, (n + 1) / 2.0)
+        s_range = st.floats(lo, max(lo, 2.0))
+        s = data.draw(st.one_of(st.just(float(n)), s_range) if lo <= n <= 2 else s_range, label="s")
+        z1, z2 = complex(x1, y1), complex(x2, y2)
+        cs = [c for c in range(1, 41) if 1.0 / (c * c * y1 * y2) <= latsum._OFFSET_TAU]
+        assume(cs)
+        for c, val in zip(cs, xic_offset_expansion(z1, z2, cs, n, s, K)):
+            ref = xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
+            assert abs(val - ref) <= 4e-15 * _abs_shifted(z1, z2, c, n, s, K), (c, val, ref)
+
+    @pytest.mark.parametrize("im,direct_cs", [(0.25, range(1, 20)), (1.5, range(1, 4))])
+    def test_shift_correction_uses_both_paths(self, monkeypatch, im, direct_cs):
+        # tau_c = 1/(c^2 Im z1 Im z2) > 1/25 keeps the 2-D pass: c < 20 at
+        # Im z = 0.25, c < 4 at Im z = 1.5; every other c is expanded
+        z1, z2, n, s, K = complex(0.1, im), complex(-0.3, im), 1, 1.3, 12
+        true_pass = []
+        slice_fn = latsum.xic_slice
+
+        def recording(z1, z2, c, n, s, K, shifted=False):
+            if not shifted:
+                true_pass.append((c, K))
+            return slice_fn(z1, z2, c, n, s, K, shifted)
+
+        monkeypatch.setattr(latsum, "xic_slice", recording)
+        val, _ = shift_correction(z1, z2, n, s, FourierAssemblyConfig(corr_C=30, corr_K=K))
+        assert sorted(c for c, k in true_pass if k == K) == list(direct_cs)
+        ref = tree_sum([slice_fn(z1, z2, c, n, s, K) - slice_fn(z1, z2, c, n, s, K, shifted=True)
+                        for c in range(1, 31)])
+        scale = sum(_abs_shifted(z1, z2, c, n, s, K) for c in range(1, 31))
+        assert abs(val - ref) <= 4e-15 * scale
+
+    def test_shift_correction_memory_stays_flat(self):
+        # blocks sized by elements, with reused buffers (a 2-D pass at every
+        # c peaked at 2.8-3.0 MiB)
+        cfg = FourierAssemblyConfig(corr_C=160, corr_K=48)
+        tracemalloc.start()
+        try:
+            shift_correction(Z1, Z2, 1, 1.4, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 1024 * 1024
+
+    def test_c_tail_covers_the_next_slices(self):
+        # at this pair the c = 160 slice nearly cancels: |v_c| c^3 is 1.5e-8
+        # there against 4.6e-5 to 1e-3 for the other c in 120..165, so the
+        # last slice alone (|v_160| 160/2 = 3e-13) misses the tail (1.1e-10)
+        vals = xic_offset_diffs(Z1, Z2, 1, 1.0, 640, 48)
+        for C in (20, 40, 80, 160):
+            assert abs(tree_sum(vals[C:])) <= _c_tail(vals[:C]), C
 
 
 class TestShiftedDoublePeriodicity:
