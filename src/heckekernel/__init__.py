@@ -9,7 +9,6 @@ from .errors import (
     NearDiagonal,
     NotConverged,
     PoleAt,
-    PrecisionLoss,
     TailTooLarge,
     UsageError,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "NotConverged",
     "PhiArgs",
     "PoleAt",
-    "PrecisionLoss",
     "TailTooLarge",
     "TruncationPolicy",
     "UsageError",

@@ -12,11 +12,14 @@ All residue sums run over 1 <= m <= c with gcd(m, c) = 1, so c = 1
 contributes the single term m = 1.  This is the convention under which
 the Dirichlet series  sum_c C_c(r)/c^s = sigma_{1-s}(r)/zeta(s)  holds.
 
-Single-modulus Ramanujan and Kloosterman sums come from kloosterman_matrix,
-a product of root-of-unity tables over the units mod c and their inverses
-(O(c) per sum); integer-valued results are asserted to be within 1e-9 of
-an integer before rounding.  The Kloosterman zeta's K_c, c = 1..C, come
-from kloosterman_sums by twisted multiplicativity over c = prod_i q_i,
+One smallest-prime-factor sieve (smallest_prime_factors, built on demand)
+gives phi, mu and d over 1..N as multiplicative functions, the exact
+integer Ramanujan sums C_c(r) = sum over d | (c, r) of mu(c/d) d, and the
+factorizations that kloosterman_sums walks.  Single-modulus Kloosterman
+sums come from kloosterman_matrix, a product of root-of-unity tables over
+the units mod c and their inverses (O(c) per sum).  The Kloosterman zeta's
+K_c, c = 1..C, come from kloosterman_sums by twisted multiplicativity over
+c = prod_i q_i,
 
     K(a, b; c) = prod_i K(a, b u_i*^2; q_i),   u_i = c / q_i mod q_i,
 
@@ -30,27 +33,43 @@ import math
 
 import numpy as np
 
-from .errors import PrecisionLoss
 
-_INT_TOL = 1e-9
+def smallest_prime_factors(N: int) -> np.ndarray:
+    """spf[n], the smallest prime factor of n, for n = 0..N (spf[0] = 0, spf[1] = 1)."""
+    spf = np.arange(N + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p::p], p, out=spf[p * p::p])
+    return spf
 
 
-def euler_phi(c: int) -> int:
-    """Euler totient phi(c) by trial-division factorization."""
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
-    result = c
-    n = c
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+def _multiplicative(N: int, at_prime_power) -> np.ndarray:
+    """[f(1), ..., f(N)] for the multiplicative f with f(p^e) = at_prime_power(p, e).
+
+    Each n >= 2 is p^e m with p = spf(n) prime to m, so f(n) = f(p^e) f(m);
+    the pass f[n] <- f(p^e) f[m] runs until it changes nothing, at most once
+    per distinct prime of n.
+    """
+    p = smallest_prime_factors(N)[2:]
+    m, e = np.arange(2, N + 1, dtype=np.int64) // p, np.ones_like(p)
+    while (more := m % p == 0).any():
+        m[more] //= p[more]
+        e[more] += 1
+    at_pe = at_prime_power(p, e)
+    f = np.ones(N + 1, dtype=np.int64)
+    while not np.array_equal(f[2:], nxt := at_pe * f[m]):
+        f[2:] = nxt
+    return f[1:]
+
+
+def totient_sieve(N: int) -> np.ndarray:
+    """[phi(1), ..., phi(N)], phi(p^e) = p^e - p^(e-1)."""
+    return _multiplicative(N, lambda p, e: p**e - p ** (e - 1))
+
+
+def mobius_sieve(N: int) -> np.ndarray:
+    """[mu(1), ..., mu(N)], mu(p) = -1 and mu(p^e) = 0 for e >= 2."""
+    return _multiplicative(N, lambda p, e: np.where(e == 1, -1, 0))
 
 
 def divisor_count(n: int) -> int:
@@ -58,12 +77,20 @@ def divisor_count(n: int) -> int:
     return len(divisors(n))
 
 
-def divisor_sieve(C: int) -> np.ndarray:
-    """[d(1), ..., d(C)] by a sieve over the multiples of each i <= C."""
-    d = np.zeros(C + 1, dtype=np.int64)
-    for i in range(1, C + 1):
-        d[i::i] += 1
-    return d[1:]
+def divisor_sieve(N: int) -> np.ndarray:
+    """[d(1), ..., d(N)], d(p^e) = e + 1."""
+    return _multiplicative(N, lambda p, e: e + 1)
+
+
+def ramanujan_sieve(N: int, r: int) -> np.ndarray:
+    """[C_1(r), ..., C_N(r)] in exact integers, C_c(r) = sum_{d | (c, r)} mu(c/d) d
+    (every d divides r = 0, so C_c(0) = phi(c))."""
+    mu = mobius_sieve(N)
+    out = np.zeros(N + 1, dtype=np.int64)
+    for d in range(1, N + 1):
+        if r % d == 0:
+            out[d::d] += d * mu[:N // d]
+    return out[1:]
 
 
 def divisors(n: int) -> list[int]:
@@ -105,13 +132,16 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (units, inverses) of residues 1..c coprime to c.
 
     Inverses are computed as m^(phi(c)-1) mod c with vectorised
-    square-and-multiply; both arrays use the 1..c representatives.
+    square-and-multiply, phi(c) the number of units; both arrays use the
+    1..c representatives.
     """
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
     if c == 1:
         return np.array([1], dtype=np.int64), np.array([1], dtype=np.int64)
     m = np.arange(1, c + 1, dtype=np.int64)
     units = m[np.gcd(m, c) == 1]
-    exp = euler_phi(c) - 1
+    exp = len(units) - 1
     result = np.ones_like(units)
     base = units % c
     e = exp
@@ -155,10 +185,7 @@ def kloosterman_sums(C: int, a, b):
     until their two or three multiples would nearly double the peak memory."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    spf = np.arange(C + 1)
-    for p in range(2, math.isqrt(C) + 1):
-        np.minimum(spf[p * p::p], p, out=spf[p * p::p])
-    spf = spf.tolist()
+    spf = smallest_prime_factors(C).tolist()
     rows = {}
     for c in range(1, C + 1):
         K = np.ones((len(a), len(b)))
@@ -193,17 +220,6 @@ def _prime_power_rows(q: int, a: np.ndarray, b: np.ndarray) -> tuple:
         table[i] = np.fft.fft(f).real
     ab = np.multiply.outer(np.where(g == q, 1, a // g) % q, b % q) % q
     return ab, q * row_of.reshape(-1, 1), table.ravel()
-
-
-def ramanujan_sum(c: int, r: int) -> int:
-    """Ramanujan sum C_c(r) = K(r, 0; c), rounded to its integer value."""
-    val = complex(kloosterman_matrix(c, [r], [0])[0, 0])
-    nearest = round(val.real)
-    if abs(val.imag) >= _INT_TOL or abs(val.real - nearest) >= _INT_TOL:
-        raise PrecisionLoss(
-            f"C_{c}({r}) = {val} deviates from an integer by >= {_INT_TOL}"
-        )
-    return int(nearest)
 
 
 def weil_bound(a: int, b: int, c: int) -> float:

@@ -218,29 +218,35 @@ def _run_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def _table_size(args, flag: str, default: int) -> int:
+    """The row count --cmax or --order: default when the flag is absent, else at least 1."""
+    size = getattr(args, flag)
+    size = default if size is None else size
+    if size < 1:
+        raise UsageError(f"--{flag} must be >= 1, got {size}")
+    return size
+
+
 def _run_table(args) -> int:
     rows: list[tuple]
     if args.name == "kloosterman":
         a = args.a if args.a is not None else 1
         b = args.b if args.b is not None else 1
-        cmax = args.cmax or 20
+        cmax = _table_size(args, "cmax", 20)
         rows = [(c, arith.kloosterman_matrix(c, [a], [b])[0, 0].real) for c in range(1, cmax + 1)]
         header = ("c", f"K({a},{b};c)")
     elif args.name == "ramanujan":
         r = args.r if args.r is not None else 1
-        cmax = args.cmax or 20
-        rows = [(c, arith.ramanujan_sum(c, r)) for c in range(1, cmax + 1)]
+        rows = list(enumerate(arith.ramanujan_sieve(_table_size(args, "cmax", 20), r).tolist(), 1))
         header = ("c", f"C_c({r})")
     elif args.name == "totient":
-        cmax = args.cmax or 20
-        rows = [(c, arith.euler_phi(c)) for c in range(1, cmax + 1)]
+        rows = list(enumerate(arith.totient_sieve(_table_size(args, "cmax", 20)).tolist(), 1))
         header = ("c", "phi(c)")
     elif args.name == "divisor":
-        cmax = args.cmax or 20
-        rows = [(c, arith.divisor_count(c)) for c in range(1, cmax + 1)]
+        rows = list(enumerate(arith.divisor_sieve(_table_size(args, "cmax", 20)).tolist(), 1))
         header = ("n", "d(n)")
     elif args.name == "qseries":
-        order = args.order or 16
+        order = _table_size(args, "order", 16)
         series = {
             "e4": lambda: modforms.eisenstein(4, order),
             "e6": lambda: modforms.eisenstein(6, order),

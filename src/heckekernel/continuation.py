@@ -155,7 +155,7 @@ def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
 def _weil_zeta_tail(exponent: float, C: int) -> float:
     """sum_{c > C} d(c) c^(1/2 - exponent), via zeta^2.
 
-    The partial sum runs left to right over c, as the trial-division sum
+    The partial sum runs left to right over c, as the plain sum
     sum(d(c) c^(-p) for c <= C) does, so the tail is bit-identical to it.
     """
     p = exponent - 0.5

@@ -11,10 +11,6 @@ class HeckeKernelError(Exception):
     """Base class for all package errors."""
 
 
-class PrecisionLoss(HeckeKernelError):
-    """An exact integer quantity came out too far from an integer."""
-
-
 class PoleAt(HeckeKernelError):
     """A special function was evaluated at (or too close to) a pole."""
 

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .arith import divisor_sieve, divisor_sigma, kloosterman_matrix, weil_bound
+from .arith import (divisor_sieve, divisor_sigma, kloosterman_matrix, ramanujan_sieve,
+                    totient_sieve, weil_bound)
 from .continuation import omega2, s_series_fourier, xi_fourier
 from .errors import AmbiguousNormalization
 from .latsum import omega_direct, s_series_direct
@@ -216,7 +217,7 @@ def check_dirichlet(C: int = 100_000, s: float = 3.0, tolerance: float = 1e-3) -
     """
     report = CheckReport(name="dirichlet", tolerance=tolerance)
     c = np.arange(1, C + 1, dtype=np.float64)
-    phi = _phi_sieve(C).astype(np.float64)
+    phi = totient_sieve(C).astype(np.float64)
     dcount = divisor_sieve(C).astype(np.float64)
     inv_cs = c ** (-s)
     lhs_phi = float(np.sum(phi * inv_cs))
@@ -224,7 +225,7 @@ def check_dirichlet(C: int = 100_000, s: float = 3.0, tolerance: float = 1e-3) -
     report.points.append("phi")
     report.residuals.append(abs(lhs_phi - rhs_phi))
     for r in (1, 2, 6):
-        ram = _ramanujan_sieve(C, r).astype(np.float64)
+        ram = ramanujan_sieve(C, r).astype(np.float64)
         lhs = float(np.sum(ram * inv_cs))
         rhs = (divisor_sigma(1.0 - s, r) / zeta_fn(s)).real
         report.points.append(f"ramanujan r={r}")
@@ -235,36 +236,6 @@ def check_dirichlet(C: int = 100_000, s: float = 3.0, tolerance: float = 1e-3) -
     report.residuals.append(abs(lhs_d - rhs_d))
     report.details = f"partial sums to C = {C} at s = {s}"
     return report
-
-
-def _phi_sieve(C: int) -> np.ndarray:
-    phi = np.arange(C + 1, dtype=np.int64)
-    for p in range(2, C + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi[1:]
-
-
-def _mobius_sieve(C: int) -> np.ndarray:
-    mu = np.ones(C + 1, dtype=np.int64)
-    is_prime = np.ones(C + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, C + 1):
-        if is_prime[p]:
-            is_prime[2 * p :: p] = False
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-    return mu
-
-
-def _ramanujan_sieve(C: int, r: int) -> np.ndarray:
-    """C_c(r) for all c <= C via C_c(r) = sum_{d | (c, r)} mu(c/d) d."""
-    mu = _mobius_sieve(C)
-    out = np.zeros(C + 1, dtype=np.int64)
-    for d in range(1, C + 1):
-        if r % d == 0:
-            out[d::d] += d * mu[np.arange(1, C // d + 1)]
-    return out[1:]
 
 
 # Zagier's theorem at weight 12, det 1: <Delta, omega_1(., conj z2; 12)>

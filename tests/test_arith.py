@@ -11,10 +11,12 @@ from heckekernel.arith import (
     divisor_sieve,
     divisor_sigma,
     divisors,
-    euler_phi,
     kloosterman_matrix,
     kloosterman_sums,
-    ramanujan_sum,
+    mobius_sieve,
+    ramanujan_sieve,
+    smallest_prime_factors,
+    totient_sieve,
     unit_inverse_table,
     weil_bound,
 )
@@ -42,20 +44,65 @@ def kloosterman_brute(a: int, b: int, c: int) -> complex:
     return total
 
 
+def phi_of(c: int) -> int:
+    return int(totient_sieve(c)[-1])
+
+
+def ramanujan_of(c: int, r: int) -> int:
+    return int(ramanujan_sieve(c, r)[-1])
+
+
+class TestSieve:
+    """The smallest-prime-factor sieve and every array built on it, against
+    their definitions for every n <= N."""
+
+    N = 3000
+
+    def test_smallest_prime_factors(self):
+        spf = smallest_prime_factors(self.N).tolist()
+        assert spf[:2] == [0, 1]
+        for n in range(2, self.N + 1):
+            assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0)
+
+    def test_totient_mobius_divisor(self):
+        phi, mu, d = totient_sieve(self.N), mobius_sieve(self.N), divisor_sieve(self.N)
+        assert len(phi) == len(mu) == len(d) == self.N
+        for n in range(1, self.N + 1):
+            m = np.arange(1, n + 1)
+            units = m[np.gcd(m, n) == 1]
+            assert phi[n - 1] == len(units)
+            assert d[n - 1] == np.count_nonzero(n % m == 0)
+            # mu(n) is the sum of the primitive n-th roots of unity
+            assert mu[n - 1] == round(np.cos(2 * np.pi * units / n).sum())
+
+    def test_ramanujan_against_exponential_sums(self):
+        rs = np.arange(-12, 13)
+        table = np.array([ramanujan_sieve(self.N, int(r)) for r in rs])
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table[rs == 0][0], totient_sieve(self.N))
+        for c in range(1, self.N + 1):
+            # the DFT of the units' indicator mod c: sum over units a of e(-a k / c) = C_c(k)
+            sums = np.fft.fft(np.gcd(np.arange(c), c) == 1)
+            np.testing.assert_allclose(table[:, c - 1], sums[rs % c], rtol=0, atol=1e-8)
+
+    def test_empty_range(self):
+        for table in (totient_sieve(0), mobius_sieve(0), divisor_sieve(0), ramanujan_sieve(0, 6)):
+            assert table.tolist() == []
+
+
 class TestEulerPhi:
     def test_one(self):
-        assert euler_phi(1) == 1
+        assert phi_of(1) == 1
 
     def test_twelve(self):
-        assert euler_phi(12) == phi_brute(12) == 4
+        assert phi_of(12) == phi_brute(12) == 4
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_primes(self, p):
-        assert euler_phi(p) == phi_brute(p) == p - 1
+        assert phi_of(p) == phi_brute(p) == p - 1
 
     def test_matches_brute_force(self):
-        for c in range(1, 200):
-            assert euler_phi(c) == phi_brute(c)
+        assert totient_sieve(199).tolist() == [phi_brute(c) for c in range(1, 200)]
 
 
 class TestDivisors:
@@ -105,6 +152,11 @@ class TestModInverse:
         assert units.tolist() == [1, 3]
         assert 2 not in units.tolist()
 
+    @pytest.mark.parametrize("c", [0, -3])
+    def test_rejects_bad_modulus(self, c):
+        with pytest.raises(ValueError):
+            unit_inverse_table(c)
+
     def test_range_convention(self):
         for c in range(1, 60):
             units, invs = unit_inverse_table(c)
@@ -117,23 +169,21 @@ class TestModInverse:
 class TestRamanujan:
     @pytest.mark.parametrize("r", [-3, 0, 1, 7])
     def test_modulus_one(self, r):
-        assert ramanujan_sum(1, r) == 1
+        assert ramanujan_of(1, r) == 1
 
     def test_small_values(self):
-        assert ramanujan_sum(2, 1) == -1
-        assert ramanujan_sum(4, 2) == -2
+        assert ramanujan_of(2, 1) == -1
+        assert ramanujan_of(4, 2) == -2
 
     def test_against_brute_force(self):
-        for c in range(1, 40):
-            for r in (0, 1, 2, 5, 12):
-                assert ramanujan_sum(c, r) == pytest.approx(
-                    ramanujan_brute(c, r).real, abs=1e-9
-                )
+        for r in (0, 1, 2, 5, 12):
+            for c, value in enumerate(ramanujan_sieve(39, r).tolist(), 1):
+                assert value == pytest.approx(ramanujan_brute(c, r).real, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.integers(1, 50), r=st.integers(-100, 100))
     def test_periodicity(self, c, r):
-        assert ramanujan_sum(c, r) == ramanujan_sum(c, r % c)
+        assert ramanujan_of(c, r) == ramanujan_of(c, r % c)
 
 
 class TestKloosterman:
@@ -184,7 +234,7 @@ class TestKloosterman:
                     assert K[i, j] <= weil_bound(a, b, c) + 1e-9
 
     def test_rejects_bad_modulus(self):
-        # the unit table of c = 0 needs euler_phi(0), which refuses it
+        # _unit_inverses refuses c < 1
         with pytest.raises(ValueError):
             kloosterman_matrix(0, [1], [1])
 

@@ -356,6 +356,22 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[-1].split() == ["6", "2"]
 
+    @pytest.mark.parametrize("name, flag, default", [
+        ("kloosterman", "--cmax", 20), ("ramanujan", "--cmax", 20), ("totient", "--cmax", 20),
+        ("divisor", "--cmax", 20), ("qseries", "--order", 16),
+    ])
+    def test_row_counts(self, capsys, name, flag, default):
+        # the default applies only without the flag; every count below 1 is a usage error
+        first = 0 if name == "qseries" else 1  # a q-series of order k has rows q^0..q^k
+        for value, rows in ((None, default), ("1", 1), ("3", 3)):
+            code, out, _ = run_cli(capsys, "table", name, *((flag, value) if value else ()), "--json")
+            assert code == 0
+            assert [row[0] for row in json.loads(out)["rows"]] == list(range(first, rows + 1))
+        for value in ("0", "-3"):
+            code, out, err = run_cli(capsys, "table", name, flag, value, "--json")
+            assert (code, out) == (2, "")
+            assert f"{flag} must be >= 1" in err
+
     @pytest.mark.parametrize("flags", [
         ("--tol", "0.5"), ("--height", "5"), ("--z1", "0.1+1.2i"), ("--config", "hk.cfg"),
     ], ids=["tol", "height", "z1", "config"])
