@@ -168,8 +168,8 @@ def kloosterman_matrix(c: int, a, b) -> np.ndarray:
     roots of unity over _unit_inverses(c), the reference for kloosterman_sums.
     """
     units, invs = _unit_inverses(c)
-    a = np.mod(np.asarray(a, dtype=np.int64), c)
-    b = np.mod(np.asarray(b, dtype=np.int64), c)
+    a = np.array([int(x) % c for x in a], dtype=np.int64)  # as Python ints: any size
+    b = np.array([int(x) % c for x in b], dtype=np.int64)
     roots = np.exp((2j * math.pi / c) * np.arange(c))
     A = roots[np.mod(np.multiply.outer(a, units), c)]
     B = roots[np.mod(np.multiply.outer(b, invs), c)]

@@ -237,9 +237,10 @@ def shift_correction(z1: complex, z2: complex, n: int, s: float,
     Each c-slice over the corr_K window comes from latsum.xic_offset_diffs:
     for the few small c whose offset bound tau_c = 1/(c^2 y1 y2) exceeds
     tau* = 1/25, xic_slice's 2-D true pass minus the factorized shifted
-    window; for every other c, xic_offset_expansion, the Gegenbauer
-    expansion of each term in its 1/c offset, at the order J(c) whose
-    Cauchy bound puts the truncation below 2^-53 of the shifted terms.
+    window; for every other c, xic_offset_expansion, each term's Gegenbauer
+    orders 0 < j + l <= J(c) in its 1/c offset as 1-D window sums, read from
+    Chebyshev interpolants on N nodes while they cost less than the units
+    (O(N K J^2) plus O(sum phi(c) N) per order), else summed at each unit.
 
     The estimate adds the c-tail past corr_C (_c_tail) and twice the
     change of the slices c <= 5 when the window is halved.

@@ -570,9 +570,10 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     This pass costs O(phi(c) K^2) powers.  The shift correction
     (xic_offset_diffs) takes it only for the few small c whose offset
     bound tau_c = 1/(c^2 y1 y2) exceeds tau* = 1/25; every other c takes
-    xic_offset_expansion, the Gegenbauer expansion of each term in its
-    offset at the order J(c) of _offset_order, whose Cauchy bound keeps
-    the truncation below 2^-53 of the sum of |shifted terms|.
+    xic_offset_expansion, the Gegenbauer orders 0 < j + l <= J(c) of each
+    term in its offset as 1-D window sums, read from Chebyshev interpolants
+    on N nodes (O(N K J^2) plus O(sum phi(c) N) per order) while they cost
+    less than the units, else summed at each unit (O(phi(c) K J^2)).
     """
     U, v = _window_axes(z1, z2, c, *_unit_rows(c), K)
     X, Y = U.real, U.imag
@@ -659,52 +660,35 @@ def _gegenbauer_orders(p: np.ndarray, r: np.ndarray, lam: float, out: np.ndarray
     return out
 
 
-def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
-                         K: int) -> np.ndarray:
-    """xic_slice's true minus shifted window for each c in cs, every term
-    expanded in its 1/c offset; each c needs tau_c = 1/(c^2 y1 y2) < 1/2.
-
-    With U = c z1 + d, v = u + i y2 and t = h/U (h = 1/c), the true product
-    is P = U^2 q(u + t), q(u) = u^2 + y2^2.  With rho^2 = q(u), x = u/rho
-    and tau = -t/rho, the generating function of the Gegenbauer
-    polynomials C_j turns each term into
-
-        conj(U)^(2n) |U|^(-4s) rho^(2n-4s)
-            * sum_j C_j^(s)(x) tau^j * sum_l C_l^(s-n)(x) conj(tau)^l.
-
-    Its (0, 0) order is the shifted term, so the other orders sum to
-    true - shifted with no cancellation.  Per unit a0 the orders separate
-    into 1-D window sums, F_jl = sum over l of conj(U)^(2n) |U|^(-4s)
-    t^j conj(t)^l and G_jl = sum over k of rho^(2n-4s) A_j B_l with
-    A_j = (-1/rho)^j C_j^(s)(x), B_l the same at s - n, and the slice is
-    sum over units of sum_(0 < j + l <= J) F_jl G_jl: O(phi(c) K J^2)
-    work instead of the 2-D pass's O(phi(c) K^2) powers.
-
-    |tau| <= tau_c = 1/(c^2 y1 y2) in the slice of c, and the order J is
-    _offset_order(tau_c), so the truncation is below 2^-53 of the sum of
-    |shifted terms|.  The units of all c sharing a J run as one set of
-    rows, in blocks of at most _SLICE_BLOCK elements (rows x window x the
-    orders of both sides) whose buffers are reused.
+def _offset_nodes(tau: float, y: float, n: int, s: float) -> int:
+    """Chebyshev node count N >= 2 of xic_offset_expansion for slices with
+    |tau| <= tau < 1/2 and Im z1, Im z2 >= y: the least N whose
+    interpolation error is below 2^-53 of |shifted term| in every term.
+    f_jl and g_jl are analytic in |Im xi| < y.  If |f| <= M on the
+    Bernstein ellipse E_rho of x = 2 xi, the N-point interpolant errs by
+    at most 4 M rho^(1-N)/(rho - 1) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  On E_rho of semi-minor axis b = 4y/3,
+    each factor w of f_jl's terms has |w| >= y1/3 and lies within q_f =
+    3 (1 + D/y) of its value at any unit centre, D = (sqrt(b^2 + 1) + 1)/2;
+    g_jl's lie within q_g = 6 D/y + 7 (Cauchy's estimate on |t| = y2/6).
+    So M_f M_g <= (q_f q_g)^(2|s| + 2|s-n|) (18 tau)^(j+l) |shifted terms|,
+    summed in logs so that no power leaves the float range.
     """
-    cs = list(cs)
-    y = z1.imag * z2.imag
-    out = np.empty(len(cs), dtype=np.complex128)
-    i = 0
-    for J, run in itertools.groupby(cs, key=lambda c: _offset_order(1.0 / (c * c * y), n, s)):
-        run = list(run)
-        out[i:i + len(run)] = _expansion_run(z1, z2, run, n, s, K, J)
-        i += len(run)
-    return out
+    J = _offset_order(tau, n, s)
+    b = 4.0 * y / 3.0
+    rho, reach = b + math.hypot(b, 1.0), (math.hypot(b, 1.0) + 1.0) / (2.0 * y)
+    q = 3.0 * (1.0 + reach) * (6.0 * reach + 7.0)
+    terms = [math.log((m + 1) / (rho - 1.0)) + m * math.log(18.0 * tau) for m in range(1, J + 1)]
+    bound = max(terms) + math.log(12.0 * math.fsum(math.exp(t - max(terms)) for t in terms))
+    bound += 2.0 * (abs(s) + abs(s - n)) * math.log(q) - math.log(_OFFSET_EPS)  # 3 M_f M_g 4/(rho - 1)
+    return 1 + max(1, math.ceil(bound / math.log(rho)))
 
 
-def _expansion_run(z1: complex, z2: complex, cs: list, n: int, s: float, K: int,
-                   J: int) -> np.ndarray:
-    """xic_offset_expansion for the slices cs, all of order J."""
-    tables = [_unit_rows(c) for c in cs]
-    sizes = [a0.shape[0] for a0, _ in tables]
-    a0 = np.concatenate([a for a, _ in tables])
-    d0 = np.concatenate([d for _, d in tables])
-    c_col = np.repeat(np.asarray(cs, dtype=np.float64), sizes)[:, None]
+def _window_sums(z1: complex, z2: complex, c: np.ndarray, a0: np.ndarray, d0: np.ndarray,
+                 n: int, s: float, K: int, J: int):
+    """Per block of rows r, xic_offset_expansion's window sums over l of
+    conj(U)^(2n) |U|^(-4s) t^j conj(t)^l, t = 1/(c U), and over k of
+    rho^(2n-4s) A_j B_l, as (r, F, G) with F, G of shape (rows, J + 1, l-orders)."""
     nk, nj = 2 * K + 1, J + 1
     nl = 1 if s == n else nj  # C_l^(0) = 0 for l > 0: at s = n only l = 0 is left
     rows = max(1, _SLICE_BLOCK // (nk * (nj + nl)))  # the orders of both sides
@@ -712,21 +696,17 @@ def _expansion_run(z1: complex, z2: complex, cs: list, n: int, s: float, K: int,
     cbufs = [np.empty(nj * size, dtype=np.complex128) for _ in range(2)]
     rbufs = [np.empty(nj * size) for _ in range(2)]
     row_bufs = [np.empty(size) for _ in range(2)]
-    jl = np.add.outer(np.arange(nj), np.arange(nl))
-    orders = ((jl > 0) & (jl <= J)).astype(np.float64).ravel()  # 0 < j + l <= J
-    row_vals = np.empty(a0.shape[0], dtype=np.complex128)
     for i in range(0, a0.shape[0], rows):
-        r = slice(i, i + rows)
-        U, v = _window_axes(z1, z2, c_col[r], a0[r], d0[r], K)
-        # order-major (order, row, window) blocks, each order contiguous;
-        # the per-row matrices below are strided views of them
+        r = slice(i, min(i + rows, a0.shape[0]))
+        U, v = _window_axes(z1, z2, c[r], a0[r], d0[r], K)
+        # order-major (order, row, window) blocks; per-row matrices are strided views
         tp, wtp = _block_views(cbufs, (nj,) + U.shape)
         A, B = _block_views(rbufs, (nj,) + U.shape)
         B = B[:nl]
         r_q, tmp = _block_views(row_bufs, U.shape)
         # F_jl = sum_l w t^j conj(t)^l: (w t^j) @ conj(t^l)^T per row
         tp[0] = 1.0
-        np.divide(1.0, c_col[r] * U, out=tp[1])
+        np.divide(1.0, c[r] * U, out=tp[1])
         for j in range(2, nj):
             np.multiply(tp[j - 1], tp[1], out=tp[j])
         np.multiply(tp, _u_weights(U, n, s), out=wtp)
@@ -742,8 +722,88 @@ def _expansion_run(z1: complex, z2: complex, cs: list, n: int, s: float, K: int,
             B *= q ** (n - 2.0 * s)
         else:
             np.multiply(A, q ** (-2.0 * s), out=B)
-        G = np.matmul(A.transpose(1, 0, 2), B.transpose(1, 2, 0))
-        row_vals[r] = (F * G).reshape(U.shape[0], -1) @ orders
+        yield r, F, np.matmul(A.transpose(1, 0, 2), B.transpose(1, 2, 0))
+
+
+def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
+                         K: int) -> np.ndarray:
+    """xic_slice's true minus shifted window for each c in cs, every term
+    expanded in its 1/c offset; each c needs tau_c = 1/(c^2 y1 y2) < 1/2.
+
+    With U = c z1 + d, v = u + i y2 and t = h/U (h = 1/c), the true product
+    is P = U^2 q(u + t), q(u) = u^2 + y2^2.  With rho^2 = q(u), x = u/rho
+    and tau = -t/rho, the generating function of the Gegenbauer
+    polynomials C_j turns each term into
+
+        conj(U)^(2n) |U|^(-4s) rho^(2n-4s)
+            * sum_j C_j^(s)(x) tau^j * sum_l C_l^(s-n)(x) conj(tau)^l.
+
+    Its (0, 0) order is the shifted term, so the orders 0 < j + l <= J,
+    J = _offset_order(tau_c), sum to true - shifted with no cancellation
+    and a truncation below 2^-53 of the sum of |shifted terms|.  Per unit
+    they are products c^(2n-4s-2(j+l)) f_jl(xi) g_jl(eta) of the window
+    sums over l of conj(w)^(2n) |w|^(-4s) w^(-j) conj(w)^(-l), w = U/c, and
+    over k of rho^(2n-4s) A_j B_l, A_j = (-1/rho)^j C_j^(s)(x), B_l the same
+    at s - n, at the window centres xi, eta in [-1/2, 1/2].  They depend on
+    neither c nor the unit: when the N nodes of _offset_nodes cost less than
+    the units, N (2K + 1 + sum phi(c)) < sum phi(c) (2K + 1), f_jl and g_jl
+    are summed once at the nodes and each unit reads their Chebyshev
+    interpolants, in blocks of units x (N + 4 orders) <= _SLICE_BLOCK:
+    O(N K J^2) plus O(sum phi(c) N) per order.  Otherwise (N grows as
+    min(Im z1, Im z2) falls) each unit sums its own windows, O(phi(c) K)
+    per order.  The 2-D pass costs O(phi(c) K^2) powers at every c.
+    """
+    cs = list(cs)
+    y = z1.imag * z2.imag
+    Js = [_offset_order(1.0 / (c * c * y), n, s) for c in cs]
+    a0, d0 = zip(*map(_unit_rows, cs))
+    sizes = [a.shape[0] for a in a0]
+    c_col = np.repeat(np.asarray(cs, dtype=np.float64), sizes)[:, None]
+    a0, d0 = np.concatenate(a0), np.concatenate(d0)
+    units, nk = a0.shape[0], 2 * K + 1
+    N = _offset_nodes(1.0 / (min(cs) ** 2 * y), min(z1.imag, z2.imag), n, s)
+    orders = lambda J: np.add.outer(np.arange(J + 1), np.arange(1 if s == n else J + 1)).ravel()
+    per_unit = N * (nk + units) >= units * nk
+    if not per_unit:
+        jl = orders(max(Js))
+        keep = np.argsort(jl, kind="stable")[:np.count_nonzero(jl <= max(Js))]  # by j + l
+        jl, w = jl[keep], keep.size
+        fg = np.empty((2 * N - 2, 3 * w))  # f as (re, im) | g, at the nodes and mirrored
+        xs = 0.5 * np.cos(np.pi * np.arange(N) / (N - 1))[:, None]
+        for r, F, G in _window_sums(complex(0.0, z1.imag), complex(0.0, z2.imag), np.ones_like(xs),
+                                    xs, xs, n, s, K, max(Js)):
+            fg[r, :2 * w].view(np.complex128)[:] = F.reshape(len(F), -1)[:, keep]
+            fg[r, 2 * w:] = G.reshape(len(G), -1)[:, keep]
+        fg[N:] = fg[N - 2:0:-1]
+        # Chebyshev coefficients: the DCT-I of the node values, an FFT of their even extension
+        fg = np.fft.rfft(fg, axis=0).real / (N - 1)
+        fg[[0, -1]] /= 2.0
+        x = np.concatenate([z1.real + d0 / c_col, z2.real + a0 / c_col], axis=1)
+        x = 2.0 * (x - np.round(x))  # 2 xi, 2 eta: the window centres (_window_axes)
+        buf = np.empty(2 * max(_SLICE_BLOCK, N))  # a block holds at least one unit
+    row_vals = np.empty(units, dtype=np.complex128)
+    hi = 0
+    for J, run in itertools.groupby(zip(Js, sizes), key=lambda js: js[0]):
+        lo, hi = hi, hi + sum(size for _, size in run)
+        if per_unit:
+            mask = ((orders(J) > 0) & (orders(J) <= J)).astype(np.float64)  # 0 < j + l <= J
+            for r, F, G in _window_sums(z1, z2, c_col[lo:hi], a0[lo:hi], d0[lo:hi], n, s, K, J):
+                row_vals[lo:hi][r] = (F * G).reshape(len(F), -1) @ mask
+            continue
+        end = np.searchsorted(jl, J, side="right")  # the orders 0 < j + l <= J
+        powers = 2.0 * n - 4.0 * s - 2.0 * jl[1:end]
+        rows = max(1, _SLICE_BLOCK // (N + 4 * end))  # T_p per side, F and G and their product
+        for i in range(lo, hi, rows):
+            m = min(rows, hi - i)
+            T = buf[:2 * N * m].reshape(N, 2 * m)  # T_p(2 xi) | T_p(2 eta), by recurrence
+            T[0], T[1] = 1.0, x[i:i + m].T.ravel()
+            two_x = 2.0 * T[1]
+            for p in range(2, N):
+                np.multiply(T[p - 1], two_x, out=T[p])
+                T[p] -= T[p - 2]
+            F = (T[:, :m].T @ fg[:, 2:2 * end]).view(np.complex128)
+            G = (T[:, m:].T @ fg[:, 2 * w + 1:2 * w + end]) * c_col[i:i + m] ** powers
+            row_vals[i:i + m] = np.sum(F * G, axis=1)
     return np.add.reduceat(row_vals, np.cumsum([0] + sizes[:-1]))
 
 
@@ -762,4 +822,4 @@ def xic_offset_diffs(z1: complex, z2: complex, n: int, s: float, C: int,
         c0 += 1
     direct = [xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
               for c in range(1, c0 + 1)]
-    return direct + xic_offset_expansion(z1, z2, range(c0 + 1, C + 1), n, s, K).tolist()
+    return direct + (xic_offset_expansion(z1, z2, range(c0 + 1, C + 1), n, s, K).tolist() if c0 < C else [])

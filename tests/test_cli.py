@@ -338,6 +338,22 @@ class TestTable:
             assert doc["columns"] == ["c", f"K({a},{b};c)"]
             assert doc["rows"] == [[c, v] for c, v in enumerate(values, 1)]
 
+    @pytest.mark.parametrize("a,b", [(10**20, 1), (-(10**20) - 7, 3), (2, 3 * 10**25)])
+    def test_kloosterman_arguments_past_int64(self, capsys, a, b):
+        # K(a, b; c) depends on a and b mod c only: each row equals the row
+        # of the reduced arguments, in text and in JSON
+        def rows(a, b, cmax, fmt):
+            code, out, _ = run_cli(capsys, "table", "kloosterman", f"--a={a}", f"--b={b}",
+                                   "--cmax", str(cmax), *fmt)
+            assert code == 0
+            return json.loads(out)["rows"] if fmt else [line.split() for line in out.splitlines()[1:]]
+
+        for fmt in ((), ("--json",)):
+            table = rows(a, b, 12, fmt)
+            assert len(table) == 12
+            for c, row in enumerate(table, 1):
+                assert row == rows(a % c, b % c, c, fmt)[-1], (c, fmt)
+
     def test_qseries_delta(self, capsys):
         code, out, _ = run_cli(capsys, "table", "qseries", "--series", "delta",
                                "--order", "6", "--json")

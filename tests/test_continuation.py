@@ -34,6 +34,10 @@ Z2 = -0.3 + 0.9j
 
 FAST_CFG = FourierAssemblyConfig(R=6, C=600, corr_C=80, corr_K=40, tol=1e-2)
 DIRECT_POL = TruncationPolicy(B=100_000, tol=1e-2)
+# the shift-correction estimate doubles differences of the c <= 5 slices of
+# two windows; each slice is rounded at ~1e-19 (0.7 to 1.5e-19 from a 40-digit
+# sum at (Z1, Z2), c = 5), so an estimate repeats to ~1e-18 absolute only
+ESTIMATE_ROUNDING = 1e-18
 
 
 def double_mode(r, rp, n, s, z1, z2, C):
@@ -335,6 +339,17 @@ class TestXiFourier:
         f = xi_fourier(Z1, Z2, n, s, cfg, DIRECT_POL)
         assert abs(d.value - f.value) <= d.err_estimate + f.err_estimate
 
+    @pytest.mark.parametrize("n,value,estimate", [
+        (0, 12.070719950323268 + 1.729000506727656e-19j, 2.558254121250052e-10),
+        (1, -4.425681436702716 + 2.980941160543048j, 1.0995470932750202e-06),
+    ], ids=["n0", "n1"])
+    def test_pinned_cli_default_values(self, n, value, estimate):
+        # `eval xi --method fourier --s 1.4` at the CLI defaults, pinned when
+        # the offset expansion summed its 1-D windows at every unit
+        r = xi_fourier(Z1, Z2, n, 1.4, FourierAssemblyConfig(), TruncationPolicy())
+        assert abs(r.value - value) <= 1e-15 * abs(value)
+        assert abs(r.err_estimate - estimate) <= 1e-15 * estimate + ESTIMATE_ROUNDING
+
     def test_rejects_bad_inputs(self):
         # 0 <= n <= 4 (derivative order 2n <= 8) and s >= max(1, (n + 1)/2)
         with pytest.raises(ValueError):
@@ -352,6 +367,19 @@ class TestCorrection:
         a, err_a = shift_correction(Z1, Z2, 1, 1.5, cfg_small)
         b, _ = shift_correction(Z1, Z2, 1, 1.5, cfg_big)
         assert abs(a - b) <= max(err_a, 1e-9)
+
+    @pytest.mark.parametrize("z1,z2,value,estimate", [
+        (0.1 + 1.2j, -0.3 + 0.9j, 0.3476302629357435 + 1.1272825250823586j, 5.239737533962812e-05),
+        (0.316 + 0.423j, 0.479 + 0.566j, 6.795340219235364 + 15.512469585252314j, 0.004077670045040717),
+        (-0.245 + 0.463j, 0.005 + 0.538j, -8.156419590828577 - 2.38192067998322j, 0.003935423160504623),
+        (0.297 + 0.478j, -0.197 + 0.368j, 6.4734743310281395 + 1.1235811839562977j, 0.002462406264591685),
+    ], ids=["pair1", "pair2", "pair3", "pair4"])
+    def test_pinned_window_table_values(self, z1, z2, value, estimate):
+        # the pairs of the ROADMAP window table, pinned when the offset
+        # expansion summed its 1-D windows at every unit
+        val, est = shift_correction(z1, z2, 1, 1.0, FourierAssemblyConfig(corr_C=160, corr_K=48))
+        assert abs(val - value) <= 1e-15 * abs(value)
+        assert abs(est - estimate) <= 1e-15 * estimate + ESTIMATE_ROUNDING
 
 
 class TestExtrapolation:

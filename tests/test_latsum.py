@@ -534,6 +534,19 @@ def _abs_shifted(z1, z2, c, n, s, K):
     return xic_slice(z1, z2, c, 0, s - n / 2.0, K, shifted=True).real
 
 
+def _window_rows(mp):
+    """Record the rows of every latsum._window_sums call: the N Chebyshev
+    nodes on the interpolation path, one run of units on the per-unit path."""
+    rows, window_sums = [], latsum._window_sums
+
+    def recording(z1, z2, c, a0, d0, *args):
+        rows.append(a0.shape[0])
+        return window_sums(z1, z2, c, a0, d0, *args)
+
+    mp.setattr(latsum, "_window_sums", recording)
+    return rows
+
+
 class TestOffsetExpansion:
     """xic_offset_expansion against xic_slice's 2-D true pass, and
     shift_correction's split between the two."""
@@ -572,6 +585,71 @@ class TestOffsetExpansion:
                         for c in range(1, 31)])
         scale = sum(_abs_shifted(z1, z2, c, n, s, K) for c in range(1, 31))
         assert abs(val - ref) <= 4e-15 * scale
+
+    @pytest.mark.parametrize("n,s", [(1, 1.0), (1, 1.4), (0, 1.3), (4, 4.0), (1, 60.0)])
+    @pytest.mark.parametrize("tau", [0.04, 0.01, 1e-4])
+    def test_node_count_falls_as_im_z_grows(self, n, s, tau):
+        counts = [latsum._offset_nodes(tau, y, n, s) for y in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0)]
+        assert all(a >= b >= 2 for a, b in zip(counts, counts[1:])), counts
+
+    @pytest.mark.parametrize("tau", [0.0, -0.01, 0.5, 0.7, float("nan")])
+    def test_node_count_refuses_what_the_order_refuses(self, tau):
+        with pytest.raises(ValueError):
+            latsum._offset_order(tau, 1, 1.0)
+        with pytest.raises(ValueError):
+            latsum._offset_nodes(tau, 1.0, 1, 1.0)
+
+    @pytest.mark.parametrize("n,s", [(1, 1.0), (1, 1.4)])
+    def test_matches_2d_pass_near_real_axis(self, n, s):
+        # Im z1 = Im z2 = 0.1: the 2-D pass keeps c <= c0 = 49; the node
+        # count of c0 + 1 (several hundred) is past the units' break-even,
+        # so every unit up to c = 160 sums its own windows
+        z1, z2, K = 0.1 + 0.1j, -0.3 + 0.1j, 48
+        c0 = 49
+        vals = xic_offset_expansion(z1, z2, range(c0 + 1, 161), n, s, K)
+        for c in (c0 + 1, 2 * c0, 160):
+            ref = xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
+            assert abs(vals[c - c0 - 1] - ref) <= 4e-15 * _abs_shifted(z1, z2, c, n, s, K), c
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(0, 4), data=st.data(), x1=st.floats(-0.5, 0.5), x2=st.floats(-0.5, 0.5),
+           y1=st.floats(1.0, 2.0), y2=st.floats(1.0, 2.0))
+    def test_interpolants_match_2d_pass(self, n, data, x1, x2, y1, y2):
+        # Im z >= 1 at corr_K = 48 and corr_C = 160: the window sums run once,
+        # at the N nodes, and their interpolants serve every c
+        lo = max(1.0, (n + 1) / 2.0)
+        s_range = st.floats(lo, max(lo, 2.0))
+        s = data.draw(st.one_of(st.just(float(n)), s_range) if lo <= n <= 2 else s_range, label="s")
+        z1, z2, K = complex(x1, y1), complex(x2, y2), 48
+        cs = [c for c in range(1, 161) if 1.0 / (c * c * y1 * y2) <= latsum._OFFSET_TAU]
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _window_rows(mp)
+            vals = xic_offset_expansion(z1, z2, cs, n, s, K)
+        assert rows == [latsum._offset_nodes(1.0 / (cs[0] ** 2 * y1 * y2), min(y1, y2), n, s)]
+        for c in (cs[0], 40, 160):
+            ref = xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
+            assert abs(vals[c - cs[0]] - ref) <= 4e-15 * _abs_shifted(z1, z2, c, n, s, K), c
+
+    @pytest.mark.parametrize("z1,z2,c0", [(0.1 + 0.1j, -0.3 + 0.1j, 49), (0.1 + 0.01j, -0.3 + 2.0j, 35)],
+                             ids=["symmetric", "lopsided"])
+    def test_near_axis_units_sum_their_own_windows(self, monkeypatch, z1, z2, c0):
+        # N grows as min(Im z) falls: about 500 at Im z = 0.1 and 5000 at
+        # Im z1 = 0.01, past the units' break-even, so every unit sums its own
+        # windows and nothing is sized by N (an N x N coefficient step took
+        # 220 MB per array at the lopsided pair)
+        rows = _window_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            shift_correction(z1, z2, 1, 1.0, FourierAssemblyConfig(corr_C=160, corr_K=48))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rows) == sum(len(latsum._unit_rows(c)[0]) for c in range(c0 + 1, 161))
+        assert peak <= 3 * 1024 * 1024
+        vals = xic_offset_expansion(z1, z2, [c0 + 1, 160], 1, 1.0, 48)
+        for c, val in zip([c0 + 1, 160], vals):
+            ref = xic_slice(z1, z2, c, 1, 1.0, 48) - xic_slice(z1, z2, c, 1, 1.0, 48, shifted=True)
+            assert abs(val - ref) <= 4e-15 * _abs_shifted(z1, z2, c, 1, 1.0, 48), c
 
     def test_shift_correction_memory_stays_flat(self):
         # blocks sized by elements, with reused buffers (a 2-D pass at every

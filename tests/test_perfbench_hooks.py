@@ -6,6 +6,7 @@ fail only the benchmark's own self-tests.  The tracer is imported from its
 directory without writing anything there.
 """
 
+import collections
 import importlib
 import inspect
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from heckekernel import accumulate, arith, continuation, latsum
-from heckekernel.types import TruncationPolicy
+from heckekernel.types import FourierAssemblyConfig, TruncationPolicy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 Z1 = 0.1 + 1.2j
@@ -79,3 +80,55 @@ def test_traced_zeta_build_has_no_per_c_span(tracing):
     assert rec.spans[names.index("continuation.kloosterman_zeta")][tracing.MISS]
     assert "arith.unit_inverse_table" not in names
     assert len(names) == len(set(names))
+
+
+def _span_counts(tracing, root_name, call):
+    """Counts of the traced spans inside the one root_name span of call()."""
+    rec = tracing.Recorder()
+    with rec.installed():
+        rec.op = 0
+        call()
+    names = [sp[tracing.NAME] for sp in rec.spans]
+    assert names.count(root_name) == 1
+    root = names.index(root_name)
+    inside = {root}
+    for i, sp in enumerate(rec.spans):  # a span opens after its parent
+        if sp[tracing.PARENT] in inside:
+            inside.add(i)
+    return collections.Counter(names[i] for i in inside - {root})
+
+
+def _traced_correction_counts(tracing, corr_C):
+    """Span counts inside shift_correction in one traced xi_fourier call at
+    s = n = 1."""
+    cfg = FourierAssemblyConfig(R=2, C=16, corr_C=corr_C, corr_K=48, tol=1e-2)
+    return _span_counts(tracing, "continuation.shift_correction", lambda: continuation.xi_fourier(
+        Z1, Z2, 1, 1.0, cfg, TruncationPolicy(B=20_000, tol=1e-2)))
+
+
+def test_traced_boundary_call_has_no_per_unit_span(tracing, monkeypatch):
+    # the traced boundary run stays bounded: xic_slice is traced for the
+    # 2-D slices c <= c0 (true and shifted) and for the half-window probe
+    # of the same c, and the offset expansion of every larger c (here on
+    # Chebyshev interpolants) calls no traced attribute per unit or per node
+    c0 = max(c for c in range(1, 21) if 1.0 / (c * c * Z1.imag * Z2.imag) > latsum._OFFSET_TAU)
+    assert c0 == 4
+    counts = _traced_correction_counts(tracing, 40)
+    assert counts["latsum.xic_slice"] == 2 * c0 + 2 * min(c0, 5)
+    more = _traced_correction_counts(tracing, 80)  # 1476 more units, 40 more c
+    assert all(more[name] - counts[name] <= 40 for name in more), more - counts
+    nodes = latsum._offset_nodes
+    monkeypatch.setattr(latsum, "_offset_nodes", lambda *args: nodes(*args) + 16)
+    assert _traced_correction_counts(tracing, 40) == counts
+
+
+def test_traced_near_axis_correction_has_no_per_unit_span(tracing):
+    # at Im z1 = 0.01, Im z2 = 2 the 2-D pass keeps c <= 35 and every unit
+    # of c = 36..160 sums its own windows: apart from xic_slice's slices,
+    # at most one traced unit-table read per c
+    z1, z2, c0 = 0.1 + 0.01j, -0.3 + 2.0j, 35
+    counts = _span_counts(tracing, "continuation.shift_correction", lambda: continuation.shift_correction(
+        z1, z2, 1, 1.0, FourierAssemblyConfig(corr_C=160, corr_K=48)))
+    assert counts["latsum.xic_slice"] == 2 * c0 + 2 * 5
+    assert set(counts) <= {"latsum.xic_slice", "arith.unit_inverse_table"}, counts
+    assert counts["arith.unit_inverse_table"] <= counts["latsum.xic_slice"] + 160 - c0
