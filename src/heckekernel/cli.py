@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--m", type=int, default=1)
     p_eval.add_argument("--method", choices=("direct", "fourier", "extrapolate"), default="direct")
     p_eval.add_argument("--height", type=int, help="matrix height bound H")
-    p_eval.add_argument("--bmax", type=int, help="b-range for c = 0 sums")
+    p_eval.add_argument("--bmax", type=int, help="cap on the b-range of c = 0 sums")
     p_eval.add_argument("--cmax", type=int, help="c cutoff")
     p_eval.add_argument("--rmax", type=int, help="Fourier index cutoff")
     p_eval.add_argument("--tol", type=float)

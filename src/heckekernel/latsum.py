@@ -36,7 +36,7 @@ _MARGIN = 0.1
 _BLOCK = 1 << 18  # max lattice points processed at once inside a chunk
 _SLICE_BLOCK = 1 << 15  # grid elements per xic_slice / expansion block (cache-sized)
 _OFFSET_TAU = 1.0 / 25.0  # tau*: a c-slice with tau_c above it keeps the 2-D true pass
-_OFFSET_EPS = 2.0**-53  # offset-expansion truncation, relative to sum |shifted terms|
+_EPS = 2.0**-53  # u: the offset expansion's truncation (of sum |shifted terms|) and the line sums'
 
 
 TermFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -261,8 +261,8 @@ def _ball_spread(vals, decay: float, abs_sum: float) -> tuple[complex, float]:
     """The one spread rule of every height-ball sum, fitted or raw: the
     _cutoff_spread of values whose truncation error decays like H^(-decay),
     divided by 1 - 2^(-decay) (a slow tail past H exceeds its change over
-    H/2..H by up to that factor), plus the round-off floor 2e-16 abs_sum
-    of _line_result, abs_sum the sum of |term| over the largest ball."""
+    H/2..H by up to that factor), plus the round-off floor 2e-16 abs_sum,
+    abs_sum the sum of |term| over the largest ball."""
     value, spread = _cutoff_spread(vals)
     return value, spread / (1.0 - 2.0 ** -decay) + 2e-16 * abs_sum
 
@@ -376,23 +376,26 @@ def psi_direct(which: int, z1: complex, z2: complex, s: float,
 
 
 _TAIL_ORDERS = 11  # orders 0..10 of the 1/nu expansions behind every line tail
-
-
-def _binom_general(alpha: complex, j: int) -> complex:
-    out = 1.0 + 0j
-    for i in range(j):
-        out *= (alpha - i) / (i + 1)
-    return out
+_LINE_WINDOW = 64  # |nu| <= 64: the fixed window whose sum |terms| sizes a line sum's B'
 
 
 def _inverse_expansion(w: complex, n: int, s: float) -> list[complex]:
     """Coefficients e_m of (conj(w) + nu)^n |w + nu|^(-2s) =
     sum_m e_m nu^(n-2s-m) as nu -> +inf; e_m is homogeneous of degree m
     in (w, conj w), so nu -> -nu multiplies order m by (-1)^(n+m)."""
-    wb = w.conjugate()
-    return [sum(_binom_general(n - s, j) * _binom_general(-s, m - j) * wb**j * w ** (m - j)
-                for j in range(m + 1))
-            for m in range(_TAIL_ORDERS)]
+    orders = range(_TAIL_ORDERS)
+    ca, cb = [1.0 + 0j], [1.0 + 0j]  # binomials of n - s and of -s, as running products
+    for i in orders[:-1]:
+        ca.append(ca[i] * ((n - s - i) / (i + 1)))
+        cb.append(cb[i] * ((-s - i) / (i + 1)))
+    wb, wp = [w.conjugate() ** j for j in orders], [w**j for j in orders]
+    return [sum(ca[j] * cb[m - j] * wb[j] * wp[m - j] for j in range(m + 1)) for m in orders]
+
+
+def _tail_bound(coefs, p: float, B: int, parity: int) -> float:
+    """The first order _line_tail omits, the last m = parity (mod 2) of coefs."""
+    m = len(coefs) - 1 - (len(coefs) - 1 + parity) % 2
+    return 2.0 * abs(coefs[m] * hurwitz_tail(p + m, B + 1))
 
 
 def _line_tail(coefs, p: float, B: int, parity: int) -> tuple[complex, float]:
@@ -406,43 +409,66 @@ def _line_tail(coefs, p: float, B: int, parity: int) -> tuple[complex, float]:
     orders = [m for m in range(len(coefs)) if (parity + m) % 2 == 0]
     a = B + 1
     tail = 2.0 * sum(coefs[m] * hurwitz_tail(p + m, a) for m in orders[:-1])
-    return tail, 2.0 * abs(coefs[orders[-1]] * hurwitz_tail(p + orders[-1], a))
+    return tail, _tail_bound(coefs, p, B, parity)
 
 
-def _line_result(terms: np.ndarray, weight: float, coefs, p: float, B: int, parity: int,
-                 policy: TruncationPolicy, warnings, where: str) -> EvalResult:
-    """weight * (sum of the |nu| <= B terms + their _line_tail)."""
+def _line_result(terms_of: Callable[[np.ndarray], np.ndarray], weight: float, coefs, p: float,
+                 B: int, parity: int, k: float, policy, warnings, where: str) -> EvalResult:
+    """weight * (sum of the |nu| <= B' terms + their _line_tail), terms_of(nu)
+    the terms at the integers nu.  B' is the first of W, 2W, 4W, ... (W =
+    min(_LINE_WINDOW, B)), capped at B, whose tail bound is at most u sum
+    |terms|; that sum only grows with B', so the window's is a safe stand-in.
+
+    A term within k u of its exact value (the caller's count), summed along
+    a balanced tree of depth d = ceil(log2(2B' + 1)), errs by at most
+    gamma_(k+d) = (k + d) u/(1 - (k + d) u) of sum |terms| (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 4.2); the floor is
+    gamma_(k+d+1) of sum |terms| + |tail|, the tail taken as one more term.
+    """
     try:
-        tail, tail_err = _line_tail(coefs, p, B, parity)
+        b = min(_LINE_WINDOW, B)
+        terms = terms_of(np.arange(-b, b + 1, dtype=np.float64))
+        target = _EPS * float(np.sum(np.abs(terms)))
+        while b < B and _tail_bound(coefs, p, b, parity) > target:
+            b = min(2 * b, B)
+        if terms.size < 2 * b + 1:
+            terms = terms_of(np.arange(-b, b + 1, dtype=np.float64))
+        tail, tail_err = _line_tail(coefs, p, b, parity)
     except PoleAt:
         raise PoleAt(where, f"{where}: the continued series has a pole at this s") from None
-    value = weight * (complex(np.sum(terms)) + tail)
-    err = weight * tail_err + 2e-16 * float(np.sum(np.abs(terms)))
-    return accept(value, err, "direct", policy.tol, policy, warnings)
+    j = (k + (terms.size - 1).bit_length() + 1) * _EPS
+    floor = j / (1.0 - j) * (float(np.sum(np.abs(terms))) + abs(tail))
+    while terms.size > 1:  # the tree: each level adds the top half onto the bottom
+        terms[:terms.size // 2] += terms[(terms.size + 1) // 2:]
+        terms = terms[:(terms.size + 1) // 2]
+    value = weight * (complex(terms[0]) + tail)
+    return accept(value, weight * (tail_err + floor), "direct", policy.tol, policy, warnings)
 
 
 def s_series_direct(z: complex, n: int, s: float,
                     policy: TruncationPolicy | None = None) -> EvalResult:
     """S_n(z, 0, s) = sum over nu in Z of (conj(z) + nu)^n / |z + nu|^(2s).
 
-    The terms with |nu| <= B are summed and the rest is _line_tail of
-    _inverse_expansion(z).  Below the abscissa (n + 1)/2 this returns the
-    analytic continuation in s (with NotAbsolutelyConvergent); its poles,
-    s = (n + 1 - m)/2 for m = n (mod 2), raise PoleAt.
+    The terms with |nu| <= B' are summed (_line_result) and the rest is
+    _line_tail of _inverse_expansion(z).  Below the abscissa (n + 1)/2 this
+    returns the analytic continuation in s (with NotAbsolutelyConvergent);
+    its poles, s = (n + 1 - m)/2 for m = n (mod 2), raise PoleAt.
+
+    A term is within (4|s| + 7n + 8) u: 4 roundings in |z + nu|^2, to the
+    -s; 4 ulp in pow; 1 in conj(z) + nu, to the n; 2(n - 1) complex
+    products in its power (sqrt(2) gamma_2 each); 1 in the product.
     """
     z = nonzero_imag(z)
     policy = policy or TruncationPolicy()
     warnings = convergence_warnings(s, (n + 1) / 2.0)
-    B = policy.B
-    nu = np.arange(-B, B + 1, dtype=np.float64)
-    base = np.conj(np.complex128(z)) + nu
-    abs2 = (z.real + nu) ** 2 + z.imag**2
-    if n == 0:
-        terms = abs2 ** (-s)
-    else:
-        terms = base**n * abs2 ** (-s)
-    return _line_result(terms, 1.0, _inverse_expansion(z, n, s), 2.0 * s - n, B, n, policy,
-                        warnings, f"s_series_direct(n = {n}, s = {s})")
+
+    def terms_of(nu: np.ndarray) -> np.ndarray:
+        abs2 = (z.real + nu) ** 2 + z.imag**2
+        return abs2 ** (-s) if n == 0 else (np.conj(np.complex128(z)) + nu) ** n * abs2 ** (-s)
+
+    return _line_result(terms_of, 1.0, _inverse_expansion(z, n, s), 2.0 * s - n, policy.B, n,
+                        4.0 * abs(s) + 7.0 * n + 8.0, policy, warnings,
+                        f"s_series_direct(n = {n}, s = {s})")
 
 
 def xi0_direct(z1: complex, z2: complex, n: int, s: float,
@@ -450,11 +476,15 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     """The c = 0 subsum: 2 sum over b in Z of the (1, b; 0, 1) term.
 
     With nu = -b the term is the product of the S-type summands at
-    w = z2 - z1 and w = conj(z2) - z1, so the |b| > B tail is _line_tail
-    of the Cauchy product of their _inverse_expansion's.  Below the
-    abscissa (2n + 1)/4 this returns the analytic continuation in s (with
-    NotAbsolutelyConvergent); its poles, s = (2n + 1 - m)/4 for even m,
-    raise PoleAt.
+    w = z2 - z1 and w = conj(z2) - z1, so the |b| > B' tail is _line_tail
+    of the Cauchy product of their _inverse_expansion's (_line_result).
+    Below the abscissa (2n + 1)/4 this returns the analytic continuation in
+    s (with NotAbsolutelyConvergent); its poles, s = (2n + 1 - m)/4 for
+    even m, raise PoleAt.
+
+    A term is within (9|s| + 11n + 8) u: 9 roundings in |mu1|^2 |mu2|^2, to
+    the -s; 4 ulp in pow; 2 u + sqrt(2) gamma_2 in conj(mu1 mu2), to the n;
+    2(n - 1) complex products in its power; 1 in the product.
 
     The printed form of this subsum folds b with -b at equal value, which
     only holds on symmetric points; the exact subsum is kept (it is the
@@ -464,14 +494,12 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
     warnings = convergence_warnings(s, (2.0 * n + 1.0) / 4.0)
-    B = policy.B
-    b = np.arange(-B, B + 1, dtype=np.float64)
-    terms = _terms(xi_term_fn(n, s), z2 - z1 - b, np.conj(np.complex128(z2)) - z1 - b)
-    e1 = _inverse_expansion(z2 - z1, n, s)
-    e2 = _inverse_expansion(z2.conjugate() - z1, n, s)
+    w1, w2 = z2 - z1, np.conj(np.complex128(z2)) - z1
+    e1, e2 = _inverse_expansion(w1, n, s), _inverse_expansion(complex(w2), n, s)
     coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(_TAIL_ORDERS)]
-    return _line_result(terms, 2.0, coefs, 4.0 * s - 2.0 * n, B, 0, policy, warnings,
-                        f"xi0_direct(n = {n}, s = {s})")
+    return _line_result(lambda b: _terms(xi_term_fn(n, s), w1 - b, w2 - b), 2.0, coefs,
+                        4.0 * s - 2.0 * n, policy.B, 0, 9.0 * abs(s) + 11.0 * n + 8.0, policy,
+                        warnings, f"xi0_direct(n = {n}, s = {s})")
 
 
 def xic_direct(z1: complex, z2: complex, n: int, s: float,
@@ -638,7 +666,7 @@ def _offset_order(tau: float, n: int, s: float) -> int:
         raise ValueError(f"the offset expansion needs 0 < tau < 1/2, got {tau}")
     bound, r = 4.0 ** (abs(s) + abs(s - n)), 2.0 * tau
     J = 1
-    while bound * r ** (J + 1) * (J + 2 - (J + 1) * r) / (1.0 - r) ** 2 > _OFFSET_EPS:
+    while bound * r ** (J + 1) * (J + 2 - (J + 1) * r) / (1.0 - r) ** 2 > _EPS:
         J += 1
     return J
 
@@ -680,7 +708,7 @@ def _offset_nodes(tau: float, y: float, n: int, s: float) -> int:
     q = 3.0 * (1.0 + reach) * (6.0 * reach + 7.0)
     terms = [math.log((m + 1) / (rho - 1.0)) + m * math.log(18.0 * tau) for m in range(1, J + 1)]
     bound = max(terms) + math.log(12.0 * math.fsum(math.exp(t - max(terms)) for t in terms))
-    bound += 2.0 * (abs(s) + abs(s - n)) * math.log(q) - math.log(_OFFSET_EPS)  # 3 M_f M_g 4/(rho - 1)
+    bound += 2.0 * (abs(s) + abs(s - n)) * math.log(q) - math.log(_EPS)  # 3 M_f M_g 4/(rho - 1)
     return 1 + max(1, math.ceil(bound / math.log(rho)))
 
 

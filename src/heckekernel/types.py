@@ -56,7 +56,8 @@ class TruncationPolicy:
 
     H      matrix height bound (max |entry|), also the lattice-shift window
            used by the c-sliced sums,
-    B      b-range for c = 0 sums,
+    B      cap on the b-range of the c = 0 sums, which stop sooner where
+           their tail bound is below round-off (latsum._line_result),
     C      c-cutoff for Kloosterman-zeta / correction sums,
     R      Fourier index cutoff,
     tol    requested tolerance (in (0, 1e-2]),

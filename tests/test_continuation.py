@@ -340,12 +340,13 @@ class TestXiFourier:
         assert abs(d.value - f.value) <= d.err_estimate + f.err_estimate
 
     @pytest.mark.parametrize("n,value,estimate", [
-        (0, 12.070719950323268 + 1.729000506727656e-19j, 2.558254121250052e-10),
-        (1, -4.425681436702716 + 2.980941160543048j, 1.0995470932750202e-06),
+        (0, 12.070719950323268 + 1.729000506727656e-19j, 2.558332161913875e-10),
+        (1, -4.425681436702716 + 2.980941160543048j, 1.0995471077453612e-06),
     ], ids=["n0", "n1"])
     def test_pinned_cli_default_values(self, n, value, estimate):
-        # `eval xi --method fourier --s 1.4` at the CLI defaults, pinned when
-        # the offset expansion summed its 1-D windows at every unit
+        # `eval xi --method fourier --s 1.4` at the CLI defaults; values pinned
+        # when the offset expansion summed its 1-D windows at every unit,
+        # estimates when the c = 0 sum's round-off floor became a bound
         r = xi_fourier(Z1, Z2, n, 1.4, FourierAssemblyConfig(), TruncationPolicy())
         assert abs(r.value - value) <= 1e-15 * abs(value)
         assert abs(r.err_estimate - estimate) <= 1e-15 * estimate + ESTIMATE_ROUNDING

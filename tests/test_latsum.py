@@ -3,6 +3,7 @@ import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -784,6 +785,61 @@ class TestLineTails:
         brute = complex(math.fsum(t.real) + far, math.fsum(t.imag))
         assert abs(tail - brute) < 1e-15
         assert bound < 1e-15
+
+    @pytest.mark.parametrize("n,s", [(1, 1.0), (0, 1.3)])
+    def test_cap_above_the_stop_is_bit_identical(self, n, s):
+        # the sums stop where their tail bound does, far below either cap
+        for evaluate in (lambda B: xi0_direct(Z1, Z2, n, s, TruncationPolicy(B=B, tol=1e-2)),
+                         lambda B: s_series_direct(Z1, n, s, TruncationPolicy(B=B, tol=1e-2))):
+            lo, hi = evaluate(100_000), evaluate(10_000_000)
+            assert (lo.value, lo.err_estimate) == (hi.value, hi.err_estimate)
+
+    def test_cap_below_the_stop_is_honoured(self, monkeypatch):
+        # B = 10 < B': exactly the 2B + 1 terms are summed, and the estimate
+        # holds the tail bound at B
+        sizes, line_result = [], latsum._line_result
+
+        def counted(terms_of, *args):
+            return line_result(lambda nu: sizes.append(nu.size) or terms_of(nu), *args)
+
+        monkeypatch.setattr(latsum, "_line_result", counted)
+        pol = TruncationPolicy(B=10, tol=1e-2)
+        n, s = 1, 1.0
+        xi0 = xi0_direct(Z1, Z2, n, s, pol)
+        e1, e2 = _inverse_expansion(Z2 - Z1, n, s), _inverse_expansion(Z2.conjugate() - Z1, n, s)
+        coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(len(e1))]
+        assert xi0.err_estimate >= 2.0 * _line_tail(coefs, 4 * s - 2 * n, 10, 0)[1] > 0
+        ss = s_series_direct(Z1, n, s, pol)
+        assert ss.err_estimate >= _line_tail(_inverse_expansion(Z1, n, s), 2 * s - n, 10, n)[1] > 0
+        assert sizes == [21, 21]
+
+    def test_far_pair_evaluates_at_most_cap_plus_window(self, monkeypatch):
+        # Im z ~ 5000: the bound needs the whole cap, and the terms are
+        # evaluated at the window and then once at B' = B
+        counts, terms = [], latsum._terms
+        monkeypatch.setattr(latsum, "_terms",
+                            lambda fn, mu1, mu2: counts.append(mu1.size) or terms(fn, mu1, mu2))
+        B = TruncationPolicy().B
+        xi0_direct(0.3 + 5000j, -0.2 + 8000j, 0, 1.3)
+        assert counts[-1] == 2 * B + 1
+        assert sum(counts) <= 2 * B + 1 + 2 * latsum._LINE_WINDOW + 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(x1=st.floats(-0.5, 0.5), y1=st.floats(0.1, 2.0), x2=st.floats(-0.5, 0.5),
+           y2=st.floats(0.1, 2.0))
+    def test_estimates_cover_closed_forms(self, x1, y1, x2, y2):
+        # at s = n = 1 the summands are 1/((w1 - b)(w2 - b)) and 1/(z + nu):
+        # xi0 = 2 pi (cot pi w2 - cot pi w1)/(w1 - w2) by partial fractions
+        # and S_1(z, 0, 1) = pi cot pi z, taken at 30 digits from the same w
+        assume(abs(y2 - y1) >= 0.05 or abs(x2 - x1 - round(x2 - x1)) >= 0.05)
+        z1, z2 = complex(x1, y1), complex(x2, y2)
+        w1, w2 = mpmath.mpc(z2 - z1), mpmath.mpc(complex(np.conj(np.complex128(z2)) - z1))
+        with mpmath.workdps(30):
+            pi = mpmath.pi
+            exact = (2 * pi * (mpmath.cot(pi * w2) - mpmath.cot(pi * w1)) / (w1 - w2),
+                     pi * mpmath.cot(pi * mpmath.mpc(z1)))
+        for r, e in zip((xi0_direct(z1, z2, 1, 1.0), s_series_direct(z1, 1, 1.0)), exact):
+            assert abs(r.value - complex(e)) <= r.err_estimate
 
     @settings(max_examples=25, deadline=None)
     @given(x=st.floats(-1.0, 1.0), y=st.floats(0.2, 2.0), n=st.integers(0, 3),
