@@ -84,8 +84,10 @@ def psi_term_fn(which: int, s: float) -> TermFn:
     return fn
 
 
-def _terms(term_fn: TermFn, mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """term_fn(mu1, mu2); NearDiagonal where a term is not finite.
+def _terms(term_fn: TermFn, mu1: np.ndarray, mu2: np.ndarray,
+           mag: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """term_fn(mu1, mu2) and the sum of its |terms| (written to mag);
+    NearDiagonal where a term is not finite.
 
     Only a zero (or underflowing) |mu1| does that: z2 is, to double
     precision, the image of z1 under a det-m matrix (z1 = z2 for the
@@ -94,133 +96,127 @@ def _terms(term_fn: TermFn, mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         terms = term_fn(mu1, mu2)
-    if not np.isfinite(terms).all():
+    scale = np.add.reduce(np.abs(terms, out=mag))
+    if not math.isfinite(scale) and not np.isfinite(terms).all():  # finite sum: finite terms
         raise NearDiagonal("term not finite: z2 is (nearly) the image of z1 under a lattice matrix")
-    return terms
+    return terms, scale
 
 
-def _mu_pair(z1: complex, z2: complex, c: int, a: np.ndarray, b: np.ndarray,
-             d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mu1 = c z1 z2 + d z2 - a z1 - b and mu2 (z2 -> conj z2), built from
-    real parts with the rounding of that complex expression."""
-    dx, dy, ax, ay = d * z2.real, d * z2.imag, a * z1.real, a * z1.imag
-    k1, k2 = c * z1 * z2, c * z1 * z2.conjugate()
-    re1 = dx + k1.real
-    re1 -= ax
-    re1 -= b
-    re2 = dx + k2.real
-    re2 -= ax
-    re2 -= b
-    im1 = dy + k1.imag
-    im1 -= ay
-    im2 = k2.imag - dy
-    im2 -= ay
-    mu1 = np.empty(a.size, dtype=np.complex128)
-    mu2 = np.empty(a.size, dtype=np.complex128)
-    mu1.real, mu1.imag, mu2.real, mu2.imag = re1, im1, re2, im2
-    return mu1, mu2
+class _Workspace:
+    """The per-point arrays of one ball sum, grown to the largest block and
+    reused by every later one, so a call allocates them about once;
+    bucket_of[h] indexes the least of the sorted, distinct heights >= h."""
+
+    def __init__(self, heights: np.ndarray):
+        self.heights, self.size = heights, 0
+        self.bucket_of = np.searchsorted(heights, np.arange(heights[-1] + 1)).astype(
+            np.min_scalar_type(heights.size))
+
+    def fit(self, n: int) -> None:
+        if n > self.size:
+            self.size, self.iota = n, np.arange(n, dtype=np.float64)
+            self.pts, self.tmp = np.empty((3, n)), np.empty((3, n))  # pts: a, d, b, exact
+            self.index = np.empty(n, dtype=np.intp)
+            self.bucket = np.empty((2, n), dtype=self.bucket_of.dtype)  # keys, sorted keys
+            self.mu = np.empty((3, n), dtype=np.complex128)  # mu1, mu2, grouped terms
 
 
-def _bucket_sums(terms: np.ndarray, bucket: np.ndarray, nb: int) -> np.ndarray:
-    """Sum of the terms in each of nb height buckets, one pairwise np.sum
-    per bucket over its terms in enumeration order, then sum |terms|."""
-    scale = np.abs(terms).sum()
-    if nb == 1:
-        return np.array([terms.sum(), scale])
+def _mu_pair(z1: complex, z2: complex, c: int, n: int, ws: _Workspace) -> np.ndarray:
+    """Rows mu_j = ((d w + c z1 w) - a z1) - b for w = z2 and conj(z2) of
+    the first n points of ws (a z1 in the scratch row ws.mu[2])."""
+    (a, d, b), mu = ws.pts[:, :n], ws.mu[:, :n]
+    az = np.multiply(a, z1, out=mu[2])
+    for mu_j, w in zip(mu, (z2, z2.conjugate())):
+        np.multiply(d, w, out=mu_j)
+        mu_j += c * z1 * w
+        mu_j -= az
+        mu_j -= b
+    return mu[:2]
+
+
+def _bucket_sums(z1: complex, z2: complex, c: int, n: int, live: int, ws: _Workspace,
+                 term_fn: TermFn) -> np.ndarray:
+    """Twice the sums of the terms of the first n points of ws in each
+    height bucket live, live + 1, ... (heights below c join the first),
+    one pairwise sum per bucket over its terms in enumeration order, then
+    twice sum |terms|."""
+    mu = _mu_pair(z1, z2, c, n, ws)
+    terms, scale = _terms(term_fn, mu[0], mu[1], ws.tmp[0, :n])
+    if live == ws.heights.size - 1:
+        return 2.0 * np.array([np.add.reduce(terms), scale])
+    mag = np.abs(ws.pts[:, :n], out=ws.tmp[:, :n])
+    np.maximum(np.maximum(mag[0], mag[1], out=mag[0]), mag[2], out=mag[0])
+    height = np.maximum(mag[0], c, out=ws.index[:n], casting="unsafe")
+    bucket = np.take(ws.bucket_of, height, out=ws.bucket[0, :n], mode="clip")  # clip: unbuffered
     order = np.argsort(bucket, kind="stable")
-    grouped = terms[order]
-    ends = np.cumsum(np.bincount(bucket, minlength=nb)).tolist()
-    return np.array([grouped[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)] + [scale])
+    grouped = np.take(terms, order, out=ws.mu[2].view(terms.dtype)[:n], mode="clip")
+    ends = np.take(bucket, order, out=ws.bucket[1, :n], mode="clip")
+    ends = np.searchsorted(ends, np.arange(live + 1, ws.heights.size + 1, dtype=ends.dtype))
+    sums = [np.add.reduce(grouped[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
+    return 2.0 * np.array(sums + [scale])
 
 
-def _chunk_value(z1: complex, z2: complex, m: int, c: int, heights: np.ndarray,
+def _chunk_value(z1: complex, z2: complex, m: int, c: int, ws: _Workspace,
                  term_fn: TermFn) -> np.ndarray:
     """Sums over the det-m matrices with this c >= 0 (with their negations),
-    one per height in the sorted, distinct heights: entry j sums the
-    matrices with max(|a|, |b|, c, |d|) <= heights[j], and a last entry
-    sums |term| over the largest ball.
+    one per height in ws.heights: entry j sums the matrices with
+    max(|a|, |b|, c, |d|) <= heights[j], and a last entry sums |term| over
+    the largest ball.
 
-    Only the live points of the largest ball are enumerated, once.  For
-    c > 0 the matrices are grouped by g = gcd(a, c), which must divide m:
-    a = g a' with a' a unit mod c/g, and a d = m (mod c) forces
-    d = d0 (mod c/g) with d0 = (m/g) a'^(-1).  For each a, |d| <= H and
-    |b| = |a d - m| / c <= H bound an integer interval of d, so the rows
-    are ragged runs of d in steps of c/g along which b steps by a'.  Each
-    point goes to the bucket of its height, the buckets are summed
-    (_bucket_sums) and the bucket sums accumulated over the heights.
-    """
+    The live points of the largest ball are enumerated once, as exact
+    floats.  For c > 0 the matrices are grouped by g = gcd(a, c), which
+    must divide m: a = g a' with a' = u + k c/g for the units u mod c/g,
+    and a d = m (mod c) forces d = d0 (mod c/g), d0 = (m/g) u^(-1).
+    |d| <= H and |b| = |a d - m| / c <= H bound d, so the rows are ragged
+    runs of d in steps of c/g, summed by _bucket_sums in blocks of whole
+    rows of at most _BLOCK points (or one longer row)."""
+    heights = ws.heights
     H = int(heights[-1])
-    live = heights[heights >= c]  # every point of this chunk has height >= c
-    bucket_of = np.searchsorted(live, np.arange(H + 1)).astype(np.min_scalar_type(live.size))
+    first_live = int(np.searchsorted(heights, c))  # every point here has height >= c
     total = np.zeros(heights.size + 1, dtype=np.complex128)
-    if c == 0:
-        b = np.arange(-H, H + 1, dtype=np.int64)
-        for a in range(1, H + 1):
-            if m % a:
-                continue
-            d = m // a
-            if d > H:
-                continue
-            # mu for (a, b; 0, d): d w - a z1 - b; the pair (-a, -b; 0, -d)
-            # contributes equally, hence the factor 2
-            mu1 = d * z2 - a * z1 - b
-            mu2 = d * z2.conjugate() - a * z1 - b
-            bucket = bucket_of[np.maximum(np.abs(b), max(a, d))]
-            total += 2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size)
-        total[:-1] = np.cumsum(total[:-1])
-        return total
+    for a in [a for a in range(1, min(m, H) + 1) if c == 0 and m % a == 0 and m // a <= H]:
+        ws.fit(2 * H + 1)  # the row (a, b; 0, m/a), |b| <= H, summed alone
+        ws.pts[:2, :2 * H + 1] = [[a], [m // a]]
+        np.subtract(ws.iota[:2 * H + 1], H, out=ws.pts[2, :2 * H + 1])
+        total[first_live:] += _bucket_sums(z1, z2, 0, 2 * H + 1, first_live, ws, term_fn)
     vals = []
-    for g in range(1, math.gcd(c, m) + 1):
+    for g in range(1, math.gcd(c, m) + 1 if c else 1):
         if c % g or m % g:
             continue
-        cg = c // g
+        cg, A = c // g, H // g
         units, invs = unit_inverse_table(cg)
         if m != g:  # for m = g the inverses already are the d0 residues
             invs = ((m // g) * invs - 1) % cg + 1
-        d0_of = np.zeros(cg, dtype=np.int64)  # 0 marks a' that is not a unit
-        d0_of[units % cg] = invs
-        a_row = np.arange(-(H // g), H // g + 1, dtype=np.int64)  # a' = a / g
-        d0 = d0_of[a_row % cg]
-        a_row, d0 = a_row[d0 > 0], d0[d0 > 0]
-        a = g * a_row
-        # m - cH <= a d <= m + cH and |d| <= H as exact integer bounds on d
-        abs_a = np.maximum(np.abs(a), 1)
-        d_hi = (m + c * H) // abs_a  # floor((m + cH) / |a|)
-        d_lo = -((c * H - m) // abs_a)  # ceil((m - cH) / |a|)
-        lo = np.maximum(np.where(a > 0, d_lo, -d_hi), -H)
-        hi = np.minimum(np.where(a > 0, d_hi, -d_lo), H)
-        if cg == 1:  # a = 0 occurs (c | m): then b = -m / c for every d
-            hi[a == 0] = H if m <= c * H else -H - 1
-        first = lo + (d0 - lo) % cg  # least d >= lo with d = d0 (mod c/g)
-        counts = np.maximum((hi - first) // cg + 1, 0)
-        b_first = (a * first - m) // c
-        ends = np.cumsum(counts)
-        start = 0
+        # a' = u + k c/g, a row of units per k: ascending once flat, |a'| <= A a slice
+        a = np.arange(-(A // cg) - 1, (A - 1) // cg + 1, dtype=np.float64)[:, None] * cg + units
+        rows = slice(*np.searchsorted(a.ravel(), (-A, A + 1)).tolist())
+        a *= g
+        # m - cH <= a d <= m + cH and |d| <= H bound d to [lo, hi]
+        q = np.copysign(float(c * H), a)
+        div = a if cg > 1 else np.where(a == 0, 1.0, a)  # a = 0 (c | m): b = -m / c
+        hi = np.minimum(np.floor((m + q) / div), H)
+        lo = np.maximum(np.ceil((m - q) / div), -H)
+        if cg == 1:
+            lo[A, 0], hi[A, 0] = -H, (H if m <= c * H else -H - 1)
+        first = np.ceil((lo - invs) / cg) * cg + invs  # the least d >= lo, d = d0 (mod c/g)
+        counts = np.maximum(np.floor((hi - first) / cg) + 1, 0).astype(np.intp).ravel()[rows]
+        ends = np.add.accumulate(counts)
+        first = first.ravel()[rows] - cg * (ends - counts)  # d = first + cg * (point index)
+        a, start = a.ravel()[rows], 0
         while start < a.size:
-            # whole rows, at most _BLOCK points unless one row alone is longer
             base = int(ends[start - 1]) if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
-            rows, n_rows = slice(start, stop), counts[start:stop]
-            start = stop
-            n_pts = int(ends[stop - 1]) - base
-            if not n_pts:
-                continue
-            step = np.arange(n_pts, dtype=np.int64)
-            step -= np.repeat(ends[rows] - n_rows - base, n_rows)
-            a_i = np.repeat(a[rows], n_rows)
-            d_i = np.repeat(first[rows], n_rows) + cg * step
-            b_i = np.repeat(b_first[rows], n_rows) + np.repeat(a_row[rows], n_rows) * step
-            mu1, mu2 = _mu_pair(z1, z2, c, a_i.astype(np.float64), b_i.astype(np.float64),
-                                d_i.astype(np.float64))
-            bucket = None
-            if live.size > 1:
-                ht = np.abs(b_i)
-                np.maximum(ht, np.abs(d_i), out=ht)
-                np.maximum(ht, np.abs(a_i), out=ht)
-                bucket = bucket_of[ht]
-            vals.append(2.0 * _bucket_sums(_terms(term_fn, mu1, mu2), bucket, live.size))
+            block, n, start = slice(start, stop), int(ends[stop - 1]) - base, stop
+            if n:
+                ws.fit(n)
+                a_i, d_i, b_i = ws.pts[:, :n]
+                np.copyto(a_i, np.repeat(a[block], counts[block]))
+                np.multiply(ws.iota[:n], cg, out=d_i)
+                d_i += np.repeat(first[block] + cg * base, counts[block])
+                np.divide(np.subtract(np.multiply(a_i, d_i, out=b_i), m, out=b_i), c, out=b_i)
+                vals.append(_bucket_sums(z1, z2, c, n, first_live, ws, term_fn))
     if vals:
-        total[heights.size - live.size:] = tree_sum(vals)
+        total[first_live:] = tree_sum(vals)
     total[:-1] = np.cumsum(total[:-1])
     return total
 
@@ -232,14 +228,15 @@ def ball_sum(z1: complex, z2: complex, m: int, heights,
     sum of |term| over the ball of the largest height.
 
     One pass over that ball: one chunk per c in 0..max(heights) (see
-    _chunk_value), each giving every height at once, combined along the
-    fixed reduction tree of chunked_sum.  A given heights tuple always
-    gives the same bits.
+    _chunk_value) on one _Workspace, each giving every height at once,
+    combined along the fixed reduction tree of chunked_sum.  A given
+    heights tuple always gives the same bits.
     """
     edges = np.unique(np.asarray(heights, dtype=np.int64))
+    ws = _Workspace(edges)
 
     def chunk(c: int) -> np.ndarray:
-        return _chunk_value(z1, z2, m, c, edges, term_fn)
+        return _chunk_value(z1, z2, m, c, ws, term_fn)
 
     sums = chunked_sum(int(edges[-1]) + 1, chunk)
     return sums[np.searchsorted(edges, heights)], float(sums[-1].real)
@@ -497,7 +494,7 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
     w1, w2 = z2 - z1, np.conj(np.complex128(z2)) - z1
     e1, e2 = _inverse_expansion(w1, n, s), _inverse_expansion(complex(w2), n, s)
     coefs = [sum(e1[j] * e2[m - j] for j in range(m + 1)) for m in range(_TAIL_ORDERS)]
-    return _line_result(lambda b: _terms(xi_term_fn(n, s), w1 - b, w2 - b), 2.0, coefs,
+    return _line_result(lambda b: _terms(xi_term_fn(n, s), w1 - b, w2 - b)[0], 2.0, coefs,
                         4.0 * s - 2.0 * n, policy.B, 0, 9.0 * abs(s) + 11.0 * n + 8.0, policy,
                         warnings, f"xi0_direct(n = {n}, s = {s})")
 
@@ -524,10 +521,10 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
         value, err = _cutoff_spread([tree_sum(vals[:c]) for c in _ladder(policy.C)[:5]])
     else:
         term_fn, hs = xi_term_fn(n, s), _ladder(policy.H)[:5]
-        edges, cm = np.unique(hs), min(policy.C, policy.H)
-        chunks = [_chunk_value(z1, z2, 1, c, edges, term_fn) / 2.0 for c in range(1, cm + 1)]
+        ws, cm = _Workspace(np.unique(hs)), min(policy.C, policy.H)
+        chunks = [_chunk_value(z1, z2, 1, c, ws, term_fn) / 2.0 for c in range(1, cm + 1)]
         value, err = _ball_spread([
-            tree_sum([ch[np.searchsorted(edges, h)] for ch in chunks[:cm * h // policy.H]])
+            tree_sum([ch[np.searchsorted(ws.heights, h)] for ch in chunks[:cm * h // policy.H]])
             for h in hs], 4.0 * s - 2.0 * n - 2.0, tree_sum([ch[-1] for ch in chunks]).real)
     return accept(value, err, "direct", policy.tol, policy, warnings)
 

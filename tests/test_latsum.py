@@ -1,6 +1,10 @@
 import cmath
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -169,6 +173,73 @@ class TestBallSumEngine:
         for H, val in zip(heights, vals):
             ref = ball_sum(Z1, Z2, m, (H,), fn)[0][0]
             assert abs(val - ref) <= 1e-14 * abs(ref), (m, H)
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_split_blocks_match_one_block(self, m, monkeypatch):
+        # a 64-point block budget splits every chunk with more points into
+        # blocks of whole rows (at H = 40 the c = 1, a = +-1 rows are longer
+        # than a block and go alone): each matrix is still counted once, and
+        # the sums agree with the one-block run up to the regrouped sum order
+        def ones(mu1, mu2):
+            return np.ones(mu1.shape)
+
+        heights, fn = (7, 20, 40), xi_term_fn(1, 1.4) if m == 1 else omega_term_fn(12)
+        ref, ref_abs = ball_sum(Z1, Z2, m, heights, fn)
+        monkeypatch.setattr(latsum, "_BLOCK", 64)
+        counts, _ = ball_sum(Z1, Z2, m, heights, ones)
+        for H, count in zip(heights, counts):
+            assert count == sum(1 for _ in enumerate_matrices(m, H)), (m, H)
+        vals, abs_sum = ball_sum(Z1, Z2, m, heights, fn)
+        assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref)), (m, vals - ref)
+        assert abs(abs_sum - ref_abs) <= 1e-14 * ref_abs
+
+
+class TestGoldenBits:
+    """Values and estimates of the direct routes to the last bit (IEEE
+    doubles, numpy's float64 pow): a change to the enumerator that keeps
+    its points, term rounding and summation order keeps them all."""
+
+    def test_xi_direct(self):
+        r = xi_direct(Z1, Z2, 1, 1.4, TruncationPolicy(H=120, tol=1e-2))
+        assert r.value == -4.42568238941505 + 2.9809420116651295j
+        assert r.err_estimate == 0.00013316713316386357
+
+    def test_omega_direct(self):
+        r = omega_direct(Z1, Z2, 12, 6, TruncationPolicy(H=40, tol=1e-2))
+        assert r.value == 1.2815441910547843e-08 - 1.113758474704404e-08j
+        assert r.err_estimate == 5.662909018808743e-15
+
+    def test_unshifted_xic_direct(self):
+        r = xic_direct(Z1, Z2, 1, 1.4, TruncationPolicy(H=100, tol=1e-2))
+        assert r.value == -1.8602403974414026 + 1.826271024682491j
+        assert r.err_estimate == 0.00043751748522656244
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_direct_sum_reuses_its_buffers():
+    # in a fresh process (no earlier free has moved the allocator's
+    # thresholds), each xi_direct(H = 900) call from the second on takes
+    # fewer than 5k minor page faults; an enumerator that allocates its
+    # arrays afresh in every block takes about 60k
+    script = """if True:
+        import json, resource
+        from heckekernel.latsum import xi_direct
+        from heckekernel.types import TruncationPolicy
+        policy, faults = TruncationPolicy(H=900, tol=1e-2, refine="lsq"), []
+        for z1, z2, s in [(0.1 + 1.2j, -0.3 + 0.9j, 1.5), (0.2 + 1.3j, -0.45 + 1.05j, 1.3),
+                          (-0.15 + 0.95j, 0.3 + 1.15j, 1.7)]:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            xi_direct(z1, z2, 1, s, policy)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(json.dumps(faults))
+    """
+    src = os.path.dirname(os.path.dirname(latsum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         check=True)
+    faults = json.loads(out.stdout)
+    assert max(faults[1:]) < 5000, faults
 
 
 class TestOmega:

@@ -12,6 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heckekernel import accumulate, arith, continuation, latsum
@@ -65,6 +66,18 @@ def test_installed_wrappers_are_looked_up_at_call_time(tracing):
     assert rec.chunks[0] == 21  # one chunk per c in 0..H
     assert sum(sp[tracing.TERMS] for sp in rec.spans) > 0
     assert (latsum.ball_sum, latsum.xi_term_fn, accumulate.chunked_sum) == originals
+
+
+def test_traced_terms_count_each_point_once(tracing):
+    # the tracer's term count of a traced xi_direct is the number of points
+    # the enumerator walks: half the matrices of the ball (c >= 0, with -g
+    # paired in), so a re-sliced term evaluation cannot drop or repeat points
+    rec = tracing.Recorder()
+    with rec.installed():
+        rec.op = 0
+        latsum.xi_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=20, refine="none", tol=1e-2))
+    counts, _ = latsum.ball_sum(Z1, Z2, 1, (20,), lambda mu1, mu2: np.ones(mu1.shape))
+    assert 2 * sum(sp[tracing.TERMS] for sp in rec.spans) == counts[0].real
 
 
 def test_traced_zeta_build_has_no_per_c_span(tracing):
