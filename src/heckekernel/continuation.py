@@ -77,22 +77,22 @@ def _alpha_head(m: int, sigma: float, k: int) -> complex:
 
 
 def beta_mode(m: int, r: int, sigma: float, y: float) -> complex:
-    """r-th Fourier coefficient of S_m(z, 0, sigma) at height y (r != 0)."""
-    if r == 0:
+    """r-th Fourier coefficient of S_m(z, 0, sigma) at height y (r != 0): beta_modes at one r."""
+    return beta_modes(m, (r,), sigma, y, {})[0]
+
+
+def beta_modes(m: int, rs, sigma: float, y: float, kvals: dict) -> list[complex]:
+    """beta_mode(m, r, sigma, y) for each r of rs, bit for bit, with the
+    r-independent prefactor taken once and each Bessel value once across
+    the Phi values that share kvals (special.phi_factor)."""
+    if 0 in rs:
         raise ValueError("beta_mode needs r != 0")
-    sgn = 1 if r > 0 else -1
-    Y = math.pi * abs(r) * y
-    phi = phi_factor(PhiArgs(sign=sgn, Y=Y, n=m, lam=sigma - m - 0.5))
     # the i^m prefactor is sign-independent: the sgn = -1 reduction to the
     # Phi form picks up (-1)^m, cancelling the (-i)^m from u -> -u
-    return (
-        1j**m
-        * _SQRT_PI
-        * 2.0 ** (1 - m)
-        * rgamma(sigma)
-        * (math.pi * abs(r)) ** (2.0 * sigma - m - 1.0)
-        * phi
-    )
+    head = 1j**m * _SQRT_PI * 2.0 ** (1 - m) * rgamma(sigma)
+    return [head * (math.pi * abs(r)) ** (2.0 * sigma - m - 1.0)
+            * phi_factor(PhiArgs(sign=1 if r > 0 else -1, Y=math.pi * abs(r) * y, n=m,
+                                 lam=sigma - m - 0.5), kvals) for r in rs]
 
 
 def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
@@ -115,13 +115,11 @@ def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
     except PoleAt:
         where = f"s_series_fourier(n = {n}, s = {s})"
         raise PoleAt(where, f"{where}: the continued series has a pole at this s") from None
-    for r in range(1, R + 1):
-        for rr in (r, -r):
-            total += beta_mode(n, rr, s, y) * cmath.exp(2j * math.pi * rr * x)
+    betas = beta_modes(n, _modes(R + 1), s, y, {})
+    for rr, beta in zip(_modes(R), betas):
+        total += beta * cmath.exp(2j * math.pi * rr * x)
     # the first omitted mode bounds the tail by exponential decay
-    err = 2.0 * max(
-        abs(beta_mode(n, R + 1, s, y)), abs(beta_mode(n, -(R + 1), s, y))
-    )
+    err = 2.0 * max(abs(betas[-2]), abs(betas[-1]))
     value = total.conjugate() if conjugate else total
     return EvalResult(value=value, err_estimate=err, method="fourier", warnings=warnings)
 
@@ -169,60 +167,56 @@ def _weil_zeta_tail(exponent: float, C: int) -> float:
 # Coefficient families
 
 
-def _zeta_ratio_times_alpha2n(n: int, s: float) -> complex:
+def _zeta_ratio_times_alpha2n(n: int, s: float, zeta_2n: complex | None = None) -> complex:
     """zeta(4s-2n-1)/zeta(4s-2n) * alpha_2n(2s), stable at the edge s = (n+1)/2.
 
     For n >= 1 the last linear factor of alpha_2n(2s) is 2s-n-1 = u/2 with
     u = 4s-2n-2, and zeta(4s-2n-1) = zeta(1+u) has its pole at u = 0; the
     product (u/2) zeta(1+u) is evaluated through the Laurent expansion of
-    zeta near 1 and tends to 1/2.
+    zeta near 1 and tends to 1/2.  zeta_2n is zeta(4s-2n) if the caller has it.
     """
+    zeta_2n = zeta_fn(4.0 * s - 2.0 * n) if zeta_2n is None else zeta_2n
     if n == 0:
-        return zeta_fn(4.0 * s - 1.0) / zeta_fn(4.0 * s) * alpha_const(0, 2.0 * s)
+        return zeta_fn(4.0 * s - 1.0) / zeta_2n * alpha_const(0, 2.0 * s)
     u = 4.0 * s - 2.0 * n - 2.0
     prod = 0.5 if u == 0 else (u / 2.0) * zeta_near_one(u)
-    return complex(prod) * _alpha_head(2 * n, 2.0 * s, n - 1) / zeta_fn(4.0 * s - 2.0 * n)
+    return complex(prod) * _alpha_head(2 * n, 2.0 * s, n - 1) / zeta_2n
 
 
-def a0_sum(n: int, s: float, z1: complex, z2: complex) -> complex:
-    """Constant Fourier term of the shifted c > 0 series.
+def a0_sum(n: int, s: float, z1: complex, z2: complex, zeta_2n: complex | None = None) -> complex:
+    """Constant Fourier term of the shifted c > 0 series (zeta_2n: zeta(4s-2n), if known).
 
     At the edge s = (n + 1)/2, n >= 1, the zeta pole cancels the zero of
     alpha_2n(2s) and the value is the finite limit -3 / (n Im z1 Im z2).
     """
     y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    lead = _zeta_ratio_times_alpha2n(n, s)
+    lead = _zeta_ratio_times_alpha2n(n, s, zeta_2n)
     return lead * alpha_const(0, 2.0 * s - n) * (y1 * y2) ** (1.0 + 2 * n - 4.0 * s)
+
+
+def _single_heads(n: int, s: float, y1: float, y2: float) -> tuple[float, complex, complex]:
+    """1 + 2n - 4s and the r-independent heads alpha_2n(2s) y1^(1+2n-4s) of the
+    z2 modes and alpha_0(2s-n) y2^(1+2n-4s) of the z1 modes."""
+    expo = 1.0 + 2 * n - 4.0 * s
+    return expo, alpha_const(2 * n, 2.0 * s) * y1**expo, alpha_const(0, 2.0 * s - n) * y2**expo
 
 
 def ar_sum(r: int, n: int, s: float, z1: complex, z2: complex) -> complex:
     """Coefficient of e(r Re z2) (modes of the z2 power sum only)."""
-    if r == 0:
-        raise ValueError("r must be nonzero")
     y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
+    expo, head, _ = _single_heads(n, s, y1, y2)
     # the Ramanujan Dirichlet series in place of the totient one: no pole
     # cancels the zero of alpha_2n(2s), so these modes die at the edge
-    return (
-        alpha_const(2 * n, 2.0 * s)
-        * y1 ** (1.0 + 2 * n - 4.0 * s)
-        * beta_mode(0, r, 2.0 * s - n, y2)
-        * divisor_sigma(1.0 + 2 * n - 4.0 * s, abs(r))
-        / zeta_fn(4.0 * s - 2.0 * n)
-    )
+    return (head * beta_mode(0, r, 2.0 * s - n, y2) * divisor_sigma(expo, abs(r))
+            / zeta_fn(4.0 * s - 2.0 * n))
 
 
 def arprime_sum(rp: int, n: int, s: float, z1: complex, z2: complex) -> complex:
     """Coefficient of e(r' Re z1) (modes of the z1 power sum only)."""
-    if rp == 0:
-        raise ValueError("rp must be nonzero")
     y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    return (
-        alpha_const(0, 2.0 * s - n)
-        * y2 ** (1.0 + 2 * n - 4.0 * s)
-        * beta_mode(2 * n, rp, 2.0 * s, y1)
-        * divisor_sigma(1.0 + 2 * n - 4.0 * s, abs(rp))
-        / zeta_fn(4.0 * s - 2.0 * n)
-    )
+    expo, _, head = _single_heads(n, s, y1, y2)
+    return (head * beta_mode(2 * n, rp, 2.0 * s, y1) * divisor_sigma(expo, abs(rp))
+            / zeta_fn(4.0 * s - 2.0 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,38 +260,47 @@ def _c_tail(vals) -> float:
 
 def xi_tilde_fourier(z1: complex, z2: complex, n: int, s: float,
                      cfg: FourierAssemblyConfig) -> tuple[complex, float]:
-    """Closed-form Fourier sum of the shifted c > 0 series (one copy)."""
+    """Closed-form Fourier sum of the shifted c > 0 series (one copy).
+
+    Each factor is computed once per call: beta_0(r, 2s-n, y2) and
+    beta_2n(r', 2s, y1) serve the single (ar_sum, arprime_sum) and double
+    modes, each Bessel value K_order(x) is evaluated once for both, and so
+    are zeta(4s-2n) and sigma_(1+2n-4s)(|r|).  At the edge s = (n + 1)/2,
+    n >= 1, alpha_2n(2s) = 0 and the z2 single modes are exactly 0: skipped.
+    """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
-    x1, x2 = z1.real, z2.real
-    total = a0_sum(n, s, z1, z2)
-    err = 0.0
+    x1, x2, y1, y2 = z1.real, z2.real, z1.imag, z2.imag
     R = cfg.R
+    rs = _modes(R)
+    zeta_2n = zeta_fn(4.0 * s - 2.0 * n)
+    total, err = a0_sum(n, s, z1, z2, zeta_2n), 0.0
+    expo, head_r, head_rp = _single_heads(n, s, y1, y2)
+    sigmas = [None] + [divisor_sigma(expo, r) for r in range(1, R + 2)]
+    kvals: dict = {}
+    b0s = beta_modes(0, rs + ([R + 1] if head_r else []), 2.0 * s - n, y2, kvals)
+    b1s = beta_modes(2 * n, rs + [R + 1], 2.0 * s, y1, kvals)
+    single = lambda head, beta, r: head * beta * sigmas[abs(r)] / zeta_2n
+    if head_r:
+        for r, b0 in zip(rs, b0s):
+            total += single(head_r, b0, r) * cmath.exp(2j * math.pi * r * x2)
+    for rp, b1 in zip(rs, b1s):
+        total += single(head_rp, b1, rp) * cmath.exp(2j * math.pi * rp * x1)
     # the single-mode phase assignment (r with Re z2, r' with Re z1) is
     # common to both conventions; "printed" swaps only the double modes
     swap_phases = cfg.pairing == "printed"
-    for r in _modes(R):
-        total += ar_sum(r, n, s, z1, z2) * cmath.exp(2j * math.pi * r * x2)
-    for rp in _modes(R):
-        total += arprime_sum(rp, n, s, z1, z2) * cmath.exp(2j * math.pi * rp * x1)
     # double modes: batched Kloosterman zeta over the full (r, r') grid
-    rs = tuple(_modes(R))
-    Z, T = _kloosterman_zeta_cached(rs, rs, 4.0 * s - 2.0 * n, cfg.C, cfg.pairing)
-    b1s = [beta_mode(2 * n, rp, 2.0 * s, z1.imag) for rp in rs]
+    Z, T = _kloosterman_zeta_cached(tuple(rs), tuple(rs), 4.0 * s - 2.0 * n, cfg.C, cfg.pairing)
     for i, r in enumerate(rs):
-        b0 = beta_mode(0, r, 2.0 * s - n, z2.imag)
         for j, rp in enumerate(rs):
-            coeff = b0 * b1s[j]
-            phase = (
-                cmath.exp(2j * math.pi * (r * x1 + rp * x2))
-                if swap_phases
-                else cmath.exp(2j * math.pi * (r * x2 + rp * x1))
-            )
-            total += coeff * complex(Z[i][j]) * phase
+            coeff = b0s[i] * b1s[j]
+            phase = r * x1 + rp * x2 if swap_phases else r * x2 + rp * x1
+            total += coeff * complex(Z[i][j]) * cmath.exp(2j * math.pi * phase)
             err += abs(coeff) * T[i][j]
     # mode truncation: first omitted single modes
-    err += 2.0 * abs(ar_sum(R + 1, n, s, z1, z2))
-    err += 2.0 * abs(arprime_sum(R + 1, n, s, z1, z2))
+    if head_r:
+        err += 2.0 * abs(single(head_r, b0s[-1], R + 1))
+    err += 2.0 * abs(single(head_rp, b1s[-1], R + 1))
     return total, err
 
 

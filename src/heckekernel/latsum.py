@@ -20,6 +20,7 @@ enumerated and c > 0 chunks carry weight 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable
@@ -529,13 +530,17 @@ def xic_direct(z1: complex, z2: complex, n: int, s: float,
     return accept(value, err, "direct", policy.tol, policy, warnings)
 
 
+@functools.lru_cache(maxsize=1024)
 def _unit_rows(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns of the units a0 mod c and of d0, the 1..c representative of
     -a0^(-1) (mod c), as floats: one row per unit of a c-slice."""
     units, invs = unit_inverse_table(c)
     d0 = (-invs) % c
     d0[d0 == 0] = c
-    return units.astype(np.float64)[:, None], d0.astype(np.float64)[:, None]
+    rows = units.astype(np.float64)[:, None], d0.astype(np.float64)[:, None]
+    for col in rows:
+        col.flags.writeable = False  # cached: every caller reads the same arrays
+    return rows
 
 
 def _window_axes(z1: complex, z2: complex, c, a0: np.ndarray, d0: np.ndarray,
@@ -649,10 +654,11 @@ def xic_slice(z1: complex, z2: complex, c: int, n: int, s: float, K: int,
     return tree_sum(total)
 
 
-def _offset_order(tau: float, n: int, s: float) -> int:
+def _offset_order(tau: float, n: int, s: float, J: int = 1) -> int:
     """Order J >= 1 of xic_offset_expansion for a slice whose terms all
     have |tau| <= tau < 1/2: the least J whose omitted orders j + l > J
-    are below 2^-53 of |shifted term| in every term.
+    are below 2^-53 of |shifted term| in every term.  The bound falls with
+    J, so the search may start from any J (from a larger tau's, it only steps down).
 
     For x in [-1, 1], 1/4 <= |1 - 2 x tau + tau^2| <= 9/4 on |tau| = 1/2,
     so Cauchy's estimate there gives |C_j^(lam)(x)| <= 4^|lam| 2^j, and the
@@ -662,8 +668,10 @@ def _offset_order(tau: float, n: int, s: float) -> int:
     if not 0.0 < tau < 0.5:
         raise ValueError(f"the offset expansion needs 0 < tau < 1/2, got {tau}")
     bound, r = 4.0 ** (abs(s) + abs(s - n)), 2.0 * tau
-    J = 1
-    while bound * r ** (J + 1) * (J + 2 - (J + 1) * r) / (1.0 - r) ** 2 > _EPS:
+    above = lambda J: bound * r ** (J + 1) * (J + 2 - (J + 1) * r) / (1.0 - r) ** 2 > _EPS
+    while J > 1 and not above(J - 1):
+        J -= 1
+    while above(J):
         J += 1
     return J
 
@@ -780,10 +788,12 @@ def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
     """
     cs = list(cs)
     y = z1.imag * z2.imag
-    Js = [_offset_order(1.0 / (c * c * y), n, s) for c in cs]
+    Js = list(itertools.accumulate(cs, lambda J, c: _offset_order(1.0 / (c * c * y), n, s, J),
+                                   initial=1))[1:]  # one pass: J(c) does not rise with c
     a0, d0 = zip(*map(_unit_rows, cs))
     sizes = [a.shape[0] for a in a0]
-    c_col = np.repeat(np.asarray(cs, dtype=np.float64), sizes)[:, None]
+    c_at = np.repeat(np.arange(len(cs)), sizes)  # each unit's index in cs
+    c_col = np.asarray(cs, dtype=np.float64)[c_at, None]
     a0, d0 = np.concatenate(a0), np.concatenate(d0)
     units, nk = a0.shape[0], 2 * K + 1
     N = _offset_nodes(1.0 / (min(cs) ** 2 * y), min(z1.imag, z2.imag), n, s)
@@ -806,6 +816,8 @@ def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
         x = np.concatenate([z1.real + d0 / c_col, z2.real + a0 / c_col], axis=1)
         x = 2.0 * (x - np.round(x))  # 2 xi, 2 eta: the window centres (_window_axes)
         buf = np.empty(2 * max(_SLICE_BLOCK, N))  # a block holds at least one unit
+        m_s = 2.0 * n - 4.0 * s - 2.0 * np.arange(max(Js) + 1)  # c^m_s[j + l] once per c, gathered
+        c_pows = np.asarray(cs, dtype=np.float64)[:, None] ** m_s
     row_vals = np.empty(units, dtype=np.complex128)
     hi = 0
     for J, run in itertools.groupby(zip(Js, sizes), key=lambda js: js[0]):
@@ -816,7 +828,7 @@ def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
                 row_vals[lo:hi][r] = (F * G).reshape(len(F), -1) @ mask
             continue
         end = np.searchsorted(jl, J, side="right")  # the orders 0 < j + l <= J
-        powers = 2.0 * n - 4.0 * s - 2.0 * jl[1:end]
+        powers = c_pows[:, jl[1:end]]
         rows = max(1, _SLICE_BLOCK // (N + 4 * end))  # T_p per side, F and G and their product
         for i in range(lo, hi, rows):
             m = min(rows, hi - i)
@@ -827,7 +839,7 @@ def xic_offset_expansion(z1: complex, z2: complex, cs, n: int, s: float,
                 np.multiply(T[p - 1], two_x, out=T[p])
                 T[p] -= T[p - 2]
             F = (T[:, :m].T @ fg[:, 2:2 * end]).view(np.complex128)
-            G = (T[:, m:].T @ fg[:, 2 * w + 1:2 * w + end]) * c_col[i:i + m] ** powers
+            G = (T[:, m:].T @ fg[:, 2 * w + 1:2 * w + end]) * powers[c_at[i:i + m]]
             row_vals[i:i + m] = np.sum(F * G, axis=1)
     return np.add.reduceat(row_vals, np.cumsum([0] + sizes[:-1]))
 

@@ -192,13 +192,17 @@ def _phi_expansion(n: int, sign: int) -> tuple[tuple[int, int, float], ...]:
     return tuple((a, q, c) for (a, q), c in sorted(terms.items()))
 
 
-def phi_factor(args: PhiArgs) -> float:
-    """The n-th derivative factor Phi_sgn(Y, n, lam), exactly expanded."""
-    Y = args.Y
-    lam = args.lam
+def phi_factor(args: PhiArgs, kvals: dict | None = None) -> float:
+    """The n-th derivative factor Phi_sgn(Y, n, lam), exactly expanded.  Each
+    K_(lam+q)(2Y) is evaluated once and kept in kvals under (order, argument);
+    Phi values that share one dict (a call's r and -r, coinciding arguments)
+    evaluate each distinct Bessel value once."""
+    Y, lam = args.Y, args.lam
+    kvals = {} if kvals is None else kvals
     total = 0.0
     for a, q, coeff in _phi_expansion(args.n, args.sign):
-        kval = bessel_k(lam + q, 2.0 * Y)
+        key = (lam + q, 2.0 * Y)
+        kval = kvals[key] if key in kvals else kvals.setdefault(key, bessel_k(*key))
         if kval == 0.0:
             continue
         total += coeff * Y ** (a - lam - q) * kval

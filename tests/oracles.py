@@ -7,6 +7,7 @@ test can compare the two.  Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -14,7 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from heckekernel.arith import kloosterman_matrix
-from heckekernel.continuation import _kloosterman_zeta_cached, _weil_zeta_tail
+from heckekernel.continuation import (_kloosterman_zeta_cached, _modes, _weil_zeta_tail, a0_sum,
+                                      ar_sum, arprime_sum, beta_mode)
 from heckekernel.latsum import limit_fit, psi_direct
 from heckekernel.special import bessel_k, gamma_fn, rgamma
 from heckekernel.types import TruncationPolicy
@@ -145,6 +147,29 @@ def kloosterman_zeta_per_c(rs: tuple, rps: tuple, exponent: float, C: int,
     a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
     tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
     return Z, tails
+
+
+def xi_tilde_per_use(z1: complex, z2: complex, n: int, s: float, cfg) -> tuple[complex, float]:
+    """continuation.xi_tilde_fourier with every coefficient recomputed where
+    it is used: ar_sum and arprime_sum per single mode, beta_mode per double
+    mode, in the same order of operations, so the two agree to the bit."""
+    x1, x2, R = z1.real, z2.real, cfg.R
+    total, err = a0_sum(n, s, z1, z2), 0.0
+    for r in _modes(R):
+        total += ar_sum(r, n, s, z1, z2) * cmath.exp(2j * math.pi * r * x2)
+    for rp in _modes(R):
+        total += arprime_sum(rp, n, s, z1, z2) * cmath.exp(2j * math.pi * rp * x1)
+    rs = tuple(_modes(R))
+    Z, T = _kloosterman_zeta_cached(rs, rs, 4.0 * s - 2.0 * n, cfg.C, cfg.pairing)
+    for i, r in enumerate(rs):
+        for j, rp in enumerate(rs):
+            coeff = beta_mode(0, r, 2.0 * s - n, z2.imag) * beta_mode(2 * n, rp, 2.0 * s, z1.imag)
+            phase = r * x1 + rp * x2 if cfg.pairing == "printed" else r * x2 + rp * x1
+            total += coeff * complex(Z[i][j]) * cmath.exp(2j * math.pi * phase)
+            err += abs(coeff) * T[i][j]
+    err += 2.0 * abs(ar_sum(R + 1, n, s, z1, z2))
+    err += 2.0 * abs(arprime_sum(R + 1, n, s, z1, z2))
+    return total, err
 
 
 def c_prefactor(n: int, s: float) -> complex:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from heckekernel import continuation, special
 from heckekernel.arith import divisor_sigma, kloosterman_matrix, totient_sieve
 from heckekernel.continuation import (
     _kloosterman_zeta_cached,
@@ -19,6 +20,7 @@ from heckekernel.continuation import (
     xi_extrapolated,
     xi_fourier,
     xi_star,
+    xi_tilde_fourier,
     omega2,
 )
 from heckekernel.errors import PoleAt
@@ -27,7 +29,7 @@ from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
 
 from oracles import (alpha_moment_sum, c_prefactor, kloosterman_zeta, kloosterman_zeta_per_c,
-                     phi_factor_fd)
+                     phi_factor_fd, xi_tilde_per_use)
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -359,6 +361,78 @@ class TestXiFourier:
             xi_fourier(Z1, Z2, 2, 1.4)
         with pytest.raises(ValueError):
             xi_fourier(Z1, Z2, 1, 0.9)
+
+
+BOUNDARY_CFG = FourierAssemblyConfig(R=8, C=3000, corr_C=160, corr_K=48, tol=1e-3)
+
+
+class TestFourierGoldenBits:
+    """Values and estimates of the Fourier route to the last bit (IEEE
+    doubles, numpy's float64 pow), like test_latsum.TestGoldenBits: a change
+    that computes each factor fewer times but with the same operations in
+    the same order keeps them all."""
+
+    def test_xi_fourier_at_the_boundary(self):
+        r = xi_fourier(Z1, Z2, 1, 1.0, BOUNDARY_CFG, TruncationPolicy(B=100_000, tol=1e-2))
+        assert r.value == -4.129446780390383 + 1.7116030637905912j
+        assert r.err_estimate == 0.0005245632633882536
+
+    def test_xi_tilde_fourier_at_the_boundary(self):
+        value, err = xi_tilde_fourier(Z1, Z2, 1, 1.0, BOUNDARY_CFG)
+        assert value == -2.813740976794963 - 0.025939771240955235j
+        assert err == 0.00020988425634221728
+
+    @pytest.mark.parametrize("n,value,estimate", [
+        (0, 12.070719950323268 + 1.758607048773915e-19j, 2.558332161913875e-10),
+        (1, -4.425681436702716 + 2.980941160543048j, 1.0995471077453612e-06),
+    ], ids=["n0", "n1"])
+    def test_xi_fourier_at_cli_defaults(self, n, value, estimate):
+        r = xi_fourier(Z1, Z2, n, 1.4, FourierAssemblyConfig(), TruncationPolicy())
+        assert r.value == value
+        assert r.err_estimate == estimate
+
+    def test_s_series_fourier(self):
+        # n = 2: Phi's expansion reads K_(lam+1) in two of its terms
+        r = s_series_fourier(0.3 + 1.1j, 2, 2.0, R=20)
+        assert r.value == 0.012217162526927021 - 0.03735959390014072j
+        assert r.err_estimate == 1.533031764979536e-60
+
+
+class TestOncePerCall:
+    @pytest.mark.parametrize("z1,z2", [(Z1, Z2), (-0.45 + 0.3j, 0.2 + 1.9j)])
+    @pytest.mark.parametrize("n,s,pairing", [
+        (1, 1.0, "derived"), (0, 1.4, "derived"), (1, 1.4, "derived"), (2, 1.5, "derived"),
+        (3, 2.2, "derived"), (4, 2.5, "derived"), (1, 1.3, "printed")])
+    def test_shared_factors_keep_every_bit(self, z1, z2, n, s, pairing):
+        # the factors computed once per call, and the z2 single modes skipped
+        # at the edge, give the per-use assembly's value and estimate exactly
+        cfg = FourierAssemblyConfig(R=6, C=600, corr_C=60, corr_K=32, tol=1e-2, pairing=pairing)
+        assert xi_tilde_fourier(z1, z2, n, s, cfg) == xi_tilde_per_use(z1, z2, n, s, cfg)
+
+    @pytest.mark.parametrize("n,s,pairs", [(1, 1.0, 33), (0, 1.4, 16)])
+    def test_each_bessel_and_zeta_value_once(self, monkeypatch, n, s, pairs):
+        # one xi_tilde_fourier call at R = 8 evaluates each distinct Bessel
+        # (order, argument) and each zeta argument once: 33 pairs at n = 1,
+        # s = 1 (the z2 mode R + 1 vanishes there and is not built) and 16 at
+        # n = 0, s = 1.4, where xi_tilde_per_use makes 165 and 66 evaluations
+        bessel_args, zeta_args = [], []
+        bessel_k_fn, zeta = special.bessel_k, special.zeta_fn
+
+        def counted_bessel(lam, x):
+            bessel_args.append((lam, x))
+            return bessel_k_fn(lam, x)
+
+        def counted_zeta(x):
+            zeta_args.append(x)
+            return zeta(x)
+
+        monkeypatch.setattr(special, "bessel_k", counted_bessel)
+        monkeypatch.setattr(special, "zeta_fn", counted_zeta)
+        monkeypatch.setattr(continuation, "zeta_fn", counted_zeta)
+        cfg = FourierAssemblyConfig(R=8, C=600, corr_C=60, corr_K=32, tol=1e-2)
+        xi_tilde_fourier(Z1, Z2, n, s, cfg)
+        assert len(bessel_args) == len(set(bessel_args)) == pairs
+        assert len(zeta_args) == len(set(zeta_args))
 
 
 class TestCorrection:

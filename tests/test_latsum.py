@@ -702,6 +702,32 @@ class TestOffsetExpansion:
             ref = xic_slice(z1, z2, c, n, s, K) - xic_slice(z1, z2, c, n, s, K, shifted=True)
             assert abs(vals[c - cs[0]] - ref) <= 4e-15 * _abs_shifted(z1, z2, c, n, s, K), c
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(0, 4), data=st.data(), y1=st.floats(0.25, 2.0), y2=st.floats(0.25, 2.0),
+           C=st.integers(1, 160))
+    def test_offset_orders_in_one_pass(self, n, data, y1, y2, C):
+        # J(c) does not rise with c, so xic_offset_expansion searches each c's
+        # order from the previous c's (one pass); every order must still be
+        # the least J, the one a fresh search from J = 1 returns
+        lo = max(1.0, (n + 1) / 2.0)
+        s = data.draw(st.floats(lo, lo + 3.0), label="s")
+        z1, z2 = complex(0.1, y1), complex(-0.3, y2)
+        cs = [c for c in range(1, C + 1) if 1.0 / (c * c * y1 * y2) <= latsum._OFFSET_TAU]
+        assume(cs)
+        calls, order = [], latsum._offset_order
+
+        def recording(tau, n, s, J=1):
+            calls.append((tau, J, order(tau, n, s, J)))
+            return calls[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latsum, "_offset_order", recording)
+            xic_offset_expansion(z1, z2, cs, n, s, 8)
+        passed = calls[:len(cs)]  # then _offset_nodes' own search at cs[0]
+        assert [tau for tau, _, _ in passed] == [1.0 / (c * c * (y1 * y2)) for c in cs]
+        assert [J for _, J, _ in passed] == [1] + [J for _, _, J in passed[:-1]]
+        assert [J for _, _, J in passed] == [order(tau, n, s) for tau, _, _ in passed]
+
     @pytest.mark.parametrize("z1,z2,c0", [(0.1 + 0.1j, -0.3 + 0.1j, 49), (0.1 + 0.01j, -0.3 + 2.0j, 35)],
                              ids=["symmetric", "lopsided"])
     def test_near_axis_units_sum_their_own_windows(self, monkeypatch, z1, z2, c0):

@@ -11,9 +11,12 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heckekernel"
 
-# the module's value functions next to delta_value, kept as its public API
+# the module's value functions next to delta_value, kept as its public API;
+# the one-mode coefficients, which xi_tilde_fourier assembles bit for bit
+# from factors it computes once per call
 ALLOWED_UNREFERENCED = {("modforms", "j_invariant"), ("modforms", "j_prime"),
-                        ("modforms", "dlog_delta")}
+                        ("modforms", "dlog_delta"), ("continuation", "ar_sum"),
+                        ("continuation", "arprime_sum")}
 
 
 def _nodes(tree: ast.Module, skip: ast.AST = None):

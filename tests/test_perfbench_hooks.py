@@ -115,6 +115,7 @@ def _traced_correction_counts(tracing, corr_C):
     """Span counts inside shift_correction in one traced xi_fourier call at
     s = n = 1."""
     cfg = FourierAssemblyConfig(R=2, C=16, corr_C=corr_C, corr_K=48, tol=1e-2)
+    latsum._unit_rows.cache_clear()  # every run reads its unit tables afresh
     return _span_counts(tracing, "continuation.shift_correction", lambda: continuation.xi_fourier(
         Z1, Z2, 1, 1.0, cfg, TruncationPolicy(B=20_000, tol=1e-2)))
 
@@ -145,3 +146,13 @@ def test_traced_near_axis_correction_has_no_per_unit_span(tracing):
     assert counts["latsum.xic_slice"] == 2 * c0 + 2 * 5
     assert set(counts) <= {"latsum.xic_slice", "arith.unit_inverse_table"}, counts
     assert counts["arith.unit_inverse_table"] <= counts["latsum.xic_slice"] + 160 - c0
+
+
+def test_traced_boundary_call_evaluates_each_bessel_value_once(tracing):
+    # one traced boundary-config xi_fourier computes each Fourier mode's
+    # coefficient and each distinct K_order(x) once: 33 special.bessel_k
+    # spans at (Z1, Z2), where a per-use assembly makes 165
+    cfg = FourierAssemblyConfig(R=8, C=3000, corr_C=160, corr_K=48, tol=1e-3)
+    counts = _span_counts(tracing, "continuation.xi_fourier", lambda: continuation.xi_fourier(
+        Z1, Z2, 1, 1.0, cfg, TruncationPolicy(B=100_000, tol=1e-2)))
+    assert counts["special.bessel_k"] <= 40, counts
