@@ -17,9 +17,10 @@ gives phi, mu and d over 1..N as multiplicative functions, the exact
 integer Ramanujan sums C_c(r) = sum over d | (c, r) of mu(c/d) d, and the
 factorizations that kloosterman_sums walks.  Single-modulus Kloosterman
 sums come from kloosterman_matrix, a product of root-of-unity tables over
-the units mod c and their inverses (O(c) per sum).  The Kloosterman zeta's
-K_c, c = 1..C, come from kloosterman_sums by twisted multiplicativity over
-c = prod_i q_i,
+the units mod c and their inverses, taken in O(c) from the powers of a
+generator mod each prime power of c (O(c) per sum).  The Kloosterman
+zeta's K_c, c = 1..C, come from kloosterman_sums by twisted
+multiplicativity over c = prod_i q_i,
 
     K(a, b; c) = prod_i K(a, b u_i*^2; q_i),   u_i = c / q_i mod q_i,
 
@@ -129,29 +130,60 @@ def divisor_sigma(exponent: complex, r: int) -> complex:
 
 
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (units, inverses) of residues 1..c coprime to c.
+    """Arrays (units, inverses) of residues 1..c coprime to c, ascending, in 1..c.
 
-    Inverses are computed as m^(phi(c)-1) mod c with vectorised
-    square-and-multiply, phi(c) the number of units; both arrays use the
-    1..c representatives.
+    The units mod a prime power q = p^e are the +-g^k, k < h = q/4, g = 5,
+    for p = 2, e >= 2, and the g^k, k < h = phi(q), with g the least
+    primitive root mod odd p (g + p where g^(p-1) = 1 mod p^2); the inverse
+    of +-g^k is +-g^(h-k).  For composite c the inverses are a CRT sum.
     """
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     if c == 1:
         return np.array([1], dtype=np.int64), np.array([1], dtype=np.int64)
-    m = np.arange(1, c + 1, dtype=np.int64)
-    units = m[np.gcd(m, c) == 1]
-    exp = len(units) - 1
-    result = np.ones_like(units)
-    base = units % c
-    e = exp
-    while e > 0:
-        if e & 1:
-            result = (result * base) % c
-        base = (base * base) % c
-        e >>= 1
-    result[result == 0] = c
-    return units, result
+    spf = smallest_prime_factors(math.isqrt(c))
+    primes = np.flatnonzero(spf == np.arange(len(spf)))[2:].tolist()
+    inv, is_unit = np.zeros(c, dtype=np.int64), np.ones(c, dtype=bool)
+    for p, q in _prime_powers(c, primes):
+        g, h = (5, max(q // 4, 1)) if p == 2 else (_primitive_root(p, primes), q - q // p)
+        if p > 2 and pow(g, p - 1, p * p) == 1:
+            g += p  # then a primitive root mod every p^e
+        pw = _powers(g, q, h)
+        inv_pw = np.concatenate((pw[:1], pw[:0:-1]))  # g^(h-k), the inverse of g^k
+        inv_q = np.zeros(q, dtype=np.int64)  # at the residues 0..q-1, 0 at non-units
+        inv_q[pw] = inv_pw
+        if p == 2:
+            inv_q[q - pw] = q - inv_pw
+        if q == c:  # a prime power: no CRT
+            return (units := np.flatnonzero(inv_q)), inv_q[units]
+        is_unit.reshape(-1, q)[...] &= inv_q > 0  # residue j q + r of c at r mod q
+        inv.reshape(-1, q)[...] += inv_q * (c // q * pow(c // q, -1, q))  # 1 mod q, 0 mod c/q
+    units = np.flatnonzero(is_unit)
+    return units, inv[units] % c
+
+
+def _prime_powers(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    """[(p, p^e)] over the primes p of n, from the primes up to sqrt(n)."""
+    out = [(p, math.gcd(n, p ** n.bit_length())) for p in primes if n % p == 0]  # the p-part
+    rest = n // math.prod(q for _, q in out)
+    return out + [(rest, rest)] * (rest > 1)
+
+
+def _primitive_root(p: int, primes: list[int]) -> int:
+    """The least g with g^((p-1)/r) != 1 (mod p) for each prime r | p - 1, p odd."""
+    cofactors = [(p - 1) // r for r, _ in _prime_powers(p - 1, primes)]
+    return next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in cofactors))
+
+
+def _powers(g: int, q: int, h: int) -> np.ndarray:
+    """[g^k mod q, k < h]: baby steps g^j, giant steps g^(jM), M = ceil(sqrt(h)), outer product."""
+    M = math.isqrt(h - 1) + 1
+    baby, giant = [1], [1]
+    for _ in range(M - 1):
+        baby.append(baby[-1] * g % q)
+    for _ in range((h - 1) // M):
+        giant.append(giant[-1] * baby[-1] * g % q)
+    return (np.multiply.outer(giant, baby) % q).ravel()[:h]
 
 
 @functools.lru_cache(maxsize=8192)
@@ -180,13 +212,14 @@ def kloosterman_sums(C: int, a, b):
     """Yield (c, K_c) for c = 1..C, K_c the real matrix K(a_i, b_j; c), as
     the product over the prime powers q_i of c of K(a, b u_i*^2; q_i).
 
-    The rows of q (_prime_power_rows) are built at c = q and dropped after
-    its last multiple up to C, or at once if 4 q > C: holding those rows
-    until their two or three multiples would nearly double the peak memory."""
+    The rows of q (_prime_power_rows) are built once, at c = q, and dropped
+    after its last multiple up to C, or at once if 4 q > C, with the factors
+    of the later multiples m q (m = 2, 3 prime to q): holding those rows
+    would nearly double the peak memory."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     spf = smallest_prime_factors(C).tolist()
-    rows = {}
+    rows, later = {}, {}
     for c in range(1, C + 1):
         K = np.ones((len(a), len(b)))
         n = c
@@ -194,10 +227,16 @@ def kloosterman_sums(C: int, a, b):
             p, q = spf[n], 1
             while n % p == 0:
                 n, q = n // p, q * p
+            if (c, q) in later:
+                K *= later.pop((c, q))
+                continue
             if q not in rows:
                 rows[q] = _prime_power_rows(q, a, b)
             ab, offset, table = rows[q]
-            K *= table.take(ab * pow(c // q, -2, q) % q + offset)
+            factor = lambda m: table.take(ab * pow(m, -2, q) % q + offset)  # at c = m q
+            K *= factor(c // q)
+            if 4 * q > C:
+                later.update(((m * q, q), factor(m)) for m in (2, 3) if m * q <= C and m % p)
             if c + q > C or 4 * q > C:
                 del rows[q]
         yield c, K
@@ -216,7 +255,7 @@ def _prime_power_rows(q: int, a: np.ndarray, b: np.ndarray) -> tuple:
     f = np.zeros(q, dtype=np.complex128)
     table = np.empty((len(gs), q))
     for i, x in enumerate(gs.tolist()):
-        f[invs % q] = np.exp((-2j * math.pi / q) * (units * x % q))
+        f[invs] = np.exp((-2j * math.pi / q) * (units * x % q))
         table[i] = np.fft.fft(f).real
     ab = np.multiply.outer(np.where(g == q, 1, a // g) % q, b % q) % q
     return ab, q * row_of.reshape(-1, 1), table.ravel()

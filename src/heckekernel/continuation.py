@@ -135,9 +135,9 @@ def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
     for pairing="printed"), returned with the matrix of Weil tail bounds
     sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C).
 
-    The K_c come from arith.kloosterman_sums, one FFT row per prime power
-    and K(a, b; c) = prod_i K(a, b u_i*^2; q_i) over c = prod_i q_i,
-    u_i = c / q_i mod q_i.
+    The K_c come from arith.kloosterman_sums, one FFT row per prime power q,
+    built once in O(q log q), and K(a, b; c) = prod_i K(a, b u_i*^2; q_i)
+    over c = prod_i q_i, u_i = c / q_i mod q_i.
     """
     sign = -1 if pairing == "derived" else 1
     r_arr = np.array(rs, dtype=np.int64)

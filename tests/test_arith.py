@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckekernel import arith
 from heckekernel.arith import (
     divisor_count,
     divisor_sieve,
@@ -165,6 +166,29 @@ class TestModInverse:
                 assert 1 <= inv <= c
                 assert (m * inv) % c == 1 % c
 
+    def test_every_modulus_up_to_4096(self):
+        # the generator tables put together by CRT, uncached: phi(c) ascending
+        # units prime to c, each inverse in 1..c
+        phi = totient_sieve(4096)
+        for c in range(1, 4097):
+            units, invs = arith._unit_inverses(c)
+            assert units.dtype == invs.dtype == np.int64
+            assert len(units) == phi[c - 1] and (np.diff(units) > 0).all()
+            assert (np.gcd(units, c) == 1).all() and 1 <= units[0] and units[-1] <= c
+            assert ((1 <= invs) & (invs <= c)).all()
+            assert (units * invs % c == 1 % c).all()
+
+    def test_lifted_primitive_root(self, monkeypatch):
+        # no least primitive root g mod p with p^2 <= 4000 has g^(p-1) = 1
+        # (mod p^2); 14 mod 29 does, and its powers miss units mod 841
+        assert sorted(pow(14, k, 29) for k in range(28)) == list(range(1, 29))
+        assert pow(14, 28, 29 * 29) == 1
+        assert len(set(arith._powers(14, 841, 812).tolist())) == 28
+        monkeypatch.setattr(arith, "_primitive_root", lambda p, primes: 14 if p == 29 else 2)
+        units, invs = arith._unit_inverses(841)
+        assert units.tolist() == [m for m in range(1, 842) if m % 29]
+        assert invs.tolist() == [pow(m, -1, 841) for m in units.tolist()]
+
 
 class TestRamanujan:
     @pytest.mark.parametrize("r", [-3, 0, 1, 7])
@@ -263,6 +287,17 @@ class TestKloostermanSums:
             pass
         assert c == C
         np.testing.assert_allclose(K, kloosterman_matrix(C, a, b).real, rtol=0, atol=1e-10)
+
+    def test_each_prime_power_row_built_once(self, monkeypatch):
+        # q in (150, 300] has the later multiples 2q and 3q up to 600, whose
+        # factors come from the one build at c = q
+        built, rows = [], arith._prime_power_rows
+        monkeypatch.setattr(arith, "_prime_power_rows", lambda q, a, b: built.append(q) or rows(q, a, b))
+        for _ in kloosterman_sums(600, self.A, -self.A):
+            pass
+        spf = smallest_prime_factors(600)
+        prime_powers = [q for q in range(2, 601) if q == spf[q] ** round(math.log(q, spf[q]))]
+        assert built == prime_powers
 
     def test_modulus_one_and_empty_range(self):
         assert [(c, K.tolist()) for c, K in kloosterman_sums(1, [3, 0], [-2])] == [(1, [[1.0], [1.0]])]

@@ -300,6 +300,19 @@ class TestKloostermanZeta:
         assert _kloosterman_zeta_cached.cache_info().misses == misses + 1
         assert peak <= 2.5 * 2**20
 
+    @pytest.mark.parametrize("s", [1.0, 1.4])
+    def test_cold_build_bits_pinned(self, s):
+        # the R = 8, C = 4000 matrix at the exponent xi_tilde_fourier passes
+        # at n = 1, built afresh, pinned to the bytes of the build from
+        # modpow unit tables
+        import hashlib
+
+        rs = tuple(_modes(8))
+        Z, _ = _kloosterman_zeta_cached.__wrapped__(rs, rs, 4.0 * s - 2.0, 4000, "derived")
+        assert hashlib.sha256(np.array(Z).tobytes()).hexdigest() == {
+            1.0: "fab91b41717e1d39e4979881e0136985543e13ddd1a2875cbda6b8fdb0c0d34d",
+            1.4: "1d92cd6094fff9fa76824c4a437f71d95f4d4409a732d14686fb6a8acb646510"}[s]
+
     def test_tail_estimate_consistency(self):
         v1, t1 = kloosterman_zeta(1, 1, 2.0, C=2000)
         v2, _ = kloosterman_zeta(1, 1, 2.0, C=4000)
@@ -409,12 +422,14 @@ class TestOncePerCall:
         cfg = FourierAssemblyConfig(R=6, C=600, corr_C=60, corr_K=32, tol=1e-2, pairing=pairing)
         assert xi_tilde_fourier(z1, z2, n, s, cfg) == xi_tilde_per_use(z1, z2, n, s, cfg)
 
-    @pytest.mark.parametrize("n,s,pairs", [(1, 1.0, 33), (0, 1.4, 16)])
+    @pytest.mark.parametrize("n,s,pairs", [(1, 1.0, 24), (0, 1.4, 16)])
     def test_each_bessel_and_zeta_value_once(self, monkeypatch, n, s, pairs):
         # one xi_tilde_fourier call at R = 8 evaluates each distinct Bessel
-        # (order, argument) and each zeta argument once: 33 pairs at n = 1,
-        # s = 1 (the z2 mode R + 1 vanishes there and is not built) and 16 at
-        # n = 0, s = 1.4, where xi_tilde_per_use makes 165 and 66 evaluations
+        # (|order|, argument) and each zeta argument once: 24 pairs at n = 1,
+        # s = 1 (the z2 mode R + 1 vanishes there and is not built; K_-1/2 is
+        # K_1/2 at the 9 arguments of the beta_2 family, 33 keyed on the signed
+        # order) and 16 at n = 0, s = 1.4, where xi_tilde_per_use makes 165 and
+        # 66 evaluations; the values keep the bits of the signed-order keys
         bessel_args, zeta_args = [], []
         bessel_k_fn, zeta = special.bessel_k, special.zeta_fn
 
@@ -430,8 +445,11 @@ class TestOncePerCall:
         monkeypatch.setattr(special, "zeta_fn", counted_zeta)
         monkeypatch.setattr(continuation, "zeta_fn", counted_zeta)
         cfg = FourierAssemblyConfig(R=8, C=600, corr_C=60, corr_K=32, tol=1e-2)
-        xi_tilde_fourier(Z1, Z2, n, s, cfg)
+        value, err = xi_tilde_fourier(Z1, Z2, n, s, cfg)
         assert len(bessel_args) == len(set(bessel_args)) == pairs
+        assert (value, err) == {
+            1: (-2.8137409803169473 - 0.025939760652603207j, 0.00040126591014882495),
+            0: (1.081439006303001 + 1.8633354467083232e-19j, 2.066489525770524e-14)}[n]
         assert len(zeta_args) == len(set(zeta_args))
 
 
