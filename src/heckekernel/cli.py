@@ -26,6 +26,7 @@ from .types import (
     EvalResult,
     FourierAssemblyConfig,
     TruncationPolicy,
+    accept,
     complex_to_json,
     _format_float,
 )
@@ -160,7 +161,8 @@ def _run_eval(args) -> int:
     elif target == "s-series":
         _need(args, "z", "n", "s")
         if args.method == "fourier":
-            result = continuation.s_series_fourier(args.z, args.n, args.s, R=policy.R)
+            r = continuation.s_series_fourier(args.z, args.n, args.s, R=policy.R)
+            result = accept(r.value, r.err_estimate, r.method, policy.tol, warnings=r.warnings)
         else:
             result = latsum.s_series_direct(args.z, args.n, args.s, policy)
     elif target == "omega":

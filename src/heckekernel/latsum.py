@@ -342,6 +342,8 @@ def omega_direct(z1: complex, z2: complex, k: int, m: int = 1,
     """omega_m(z1, conj(z2), k) = sum over det-m matrices of mu2^(-k)."""
     if k < 4 or k % 2:
         raise ValueError("k must be an even integer >= 4")
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
     return _direct_result(z1, z2, policy, omega_term_fn(k), k - 2.0, m=m)
 
 

@@ -1,15 +1,18 @@
 """q-expansion engine for E4, E6, Delta, j, and their z-derivatives.
 
 Series coefficients are built in exact rational arithmetic (Fraction) and
-converted to floats only at evaluation time.  Points outside the standard
-fundamental domain are reduced by the T/S algorithm before summing, which
-keeps |q| <= exp(-pi sqrt(3)) ~ 0.0043, and the weight covariance factor
-is reapplied afterwards.
+converted to complex once per series (QSeries.complex_coeffs).  A point is
+reduced once, by the T/S algorithm, to the standard fundamental domain,
+which keeps |q| <= exp(-pi sqrt(3)) ~ 0.0043; the series are summed at the
+reduced point and the weight covariance factor is reapplied afterwards.
+j, j' and Delta'/Delta share one reduction and one sum of E4^3, Delta and
+their derivatives, so theorem3_rhs reduces each of its two points once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +35,6 @@ _BERNOULLI_BY_WEIGHT = {
 }
 
 DEFAULT_ORDER = 40
-MAX_EXACT_ORDER = 64
-Y_MIN_DEFAULT = 0.1
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,13 @@ class QSeries:
         out = [(n + self.offset) * self.coeffs[n] for n in range(self.order + 1)]
         return QSeries(tuple(out), self.weight + 2, self.offset)
 
+    @functools.cached_property
+    def complex_coeffs(self) -> tuple[complex, ...]:
+        """The coefficients as complex, converted once per series."""
+        return tuple(complex(c) for c in self.coeffs)
+
     def rows(self) -> list[tuple[int, complex]]:
-        return [(n + self.offset, complex(self.coeffs[n])) for n in range(self.order + 1)]
+        return [(n + self.offset, c) for n, c in enumerate(self.complex_coeffs)]
 
 
 def _sigma_int(n: int, k: int) -> int:
@@ -171,104 +177,69 @@ def _tail_estimate(coeffs_f: Sequence[complex], q_abs: float) -> float:
     return top * q_abs**n * rho / (1.0 - rho) * 4.0
 
 
-def evaluate(series: QSeries, z: complex, tol: float = 1e-9, y_min: float = Y_MIN_DEFAULT,
-             reduce: bool = True) -> EvalResult:
+def _horner(series: QSeries, q: complex) -> complex:
+    """The truncated series at q, summed by Horner's rule."""
+    acc = 0j
+    for cc in reversed(series.complex_coeffs):
+        acc = acc * q + cc
+    if series.offset:
+        acc *= q**series.offset
+    return acc
+
+
+def evaluate(series: QSeries, z: complex, tol: float = 1e-9) -> EvalResult:
     """Evaluate a QSeries at z with fundamental-domain reduction.
 
     Reduction uses the weight tag: f(z) = (c z + d)^(-weight) f(gamma z).
     Raises TailTooLarge when the reported tail bound exceeds tol.
     """
     z = upper_half(z)
-    if z.imag < y_min and not reduce:
-        raise ValueError(f"Im z = {z.imag} below y_min = {y_min} without reduction")
-    if reduce:
-        w, (a, b, c, d) = reduce_to_fundamental(z)
-        cov = (c * z + d) ** (-series.weight) if series.weight else 1.0
-    else:
-        w, cov = z, 1.0
+    w, (a, b, c, d) = reduce_to_fundamental(z)
+    cov = (c * z + d) ** (-series.weight) if series.weight else 1.0
     q = cmath.exp(TWO_PI_I * w)
-    coeffs_f = [complex(cc) for cc in series.coeffs]
-    acc = 0j
-    for cc in reversed(coeffs_f):
-        acc = acc * q + cc
-    if series.offset:
-        acc *= q**series.offset
-    tail = _tail_estimate(coeffs_f, abs(q)) * abs(q) ** series.offset
+    acc = _horner(series, q)
+    tail = _tail_estimate(series.complex_coeffs, abs(q)) * abs(q) ** series.offset
     if tail > tol:
         raise TailTooLarge(f"tail bound {tail:.3e} exceeds tol {tol:.3e}; raise the order")
-    value = acc * cov
-    return EvalResult(value=value, err_estimate=tail * abs(cov), method="direct")
+    return EvalResult(value=acc * cov, err_estimate=tail * abs(cov), method="direct")
 
 
-class ModularCache:
-    """Shared series cache so evaluators do not rebuild expansions."""
-
-    def __init__(self, order: int = DEFAULT_ORDER):
-        if order > MAX_EXACT_ORDER:
-            raise ValueError(f"order above the exact-arithmetic ceiling {MAX_EXACT_ORDER}")
-        self.order = order
-        self.e4 = eisenstein(4, order)
-        self.e4_cubed = self.e4**3
-        self.delta = delta_series(order)
-        self.e4_cubed_prime = self.e4_cubed.q_derivative()
-        self.delta_prime = self.delta.q_derivative()
-
-    def _pair(self, series: QSeries, z: complex) -> complex:
-        return evaluate(series, z, tol=math.inf).value
-
-    def delta_at(self, z: complex) -> complex:
-        return self._pair(self.delta, z)
-
-    def j_at(self, z: complex) -> complex:
-        w, _ = reduce_to_fundamental(z)
-        num = evaluate(self.e4_cubed, w, tol=math.inf, reduce=False).value
-        den = evaluate(self.delta, w, tol=math.inf, reduce=False).value
-        return num / den
-
-    def dlog_delta_at(self, z: complex) -> complex:
-        """Delta'/Delta with the quasi-modular covariance under reduction."""
-        w, (a, b, c, d) = reduce_to_fundamental(z)
-        num = TWO_PI_I * evaluate(self.delta_prime, w, tol=math.inf, reduce=False).value
-        den = evaluate(self.delta, w, tol=math.inf, reduce=False).value
-        val_w = num / den
-        cz_d = c * z + d
-        return (val_w - 12.0 * c * cz_d) / cz_d**2
-
-    def j_prime_at(self, z: complex) -> complex:
-        """dj/dz by the quotient rule (E4^3)'/Delta - E4^3 Delta'/Delta^2."""
-        w, (a, b, c, d) = reduce_to_fundamental(z)
-        A = evaluate(self.e4_cubed, w, tol=math.inf, reduce=False).value
-        Ap = TWO_PI_I * evaluate(self.e4_cubed_prime, w, tol=math.inf, reduce=False).value
-        B = evaluate(self.delta, w, tol=math.inf, reduce=False).value
-        Bp = TWO_PI_I * evaluate(self.delta_prime, w, tol=math.inf, reduce=False).value
-        jp_w = (Ap * B - A * Bp) / B**2
-        return jp_w / (c * z + d) ** 2
+@functools.cache
+def _series() -> tuple[QSeries, QSeries, QSeries, QSeries]:
+    """E4^3, its q-derivative, Delta and its q-derivative, built once per process."""
+    e4_cubed = eisenstein(4) ** 3
+    delta = delta_series()
+    return e4_cubed, e4_cubed.q_derivative(), delta, delta.q_derivative()
 
 
-_DEFAULT_CACHE: ModularCache | None = None
-
-
-def default_cache() -> ModularCache:
-    global _DEFAULT_CACHE
-    if _DEFAULT_CACHE is None:
-        _DEFAULT_CACHE = ModularCache(DEFAULT_ORDER)
-    return _DEFAULT_CACHE
+def _at(z: complex) -> tuple[complex, complex, complex]:
+    """j, dj/dz and Delta'/Delta at z from one reduction w = gamma z: each
+    series is summed once at w and carried back by c z + d."""
+    w, (a, b, c, d) = reduce_to_fundamental(z)
+    q = cmath.exp(TWO_PI_I * w)
+    e4_cubed, e4_cubed_prime, delta, delta_prime = _series()
+    A, Ap = _horner(e4_cubed, q), TWO_PI_I * _horner(e4_cubed_prime, q)
+    B, Bp = _horner(delta, q), TWO_PI_I * _horner(delta_prime, q)
+    cz_d = c * z + d
+    # j = A / B is invariant, j' = (A'B - AB')/B^2 has weight 2, and Delta'/Delta
+    # is quasi-modular: (Delta'/Delta)(w) = (cz + d)^2 (Delta'/Delta)(z) + 12 c (cz + d)
+    return A / B, (Ap * B - A * Bp) / B**2 / cz_d**2, (Bp / B - 12.0 * c * cz_d) / cz_d**2
 
 
 def j_invariant(z: complex) -> complex:
-    return default_cache().j_at(z)
+    return _at(z)[0]
 
 
 def j_prime(z: complex) -> complex:
-    return default_cache().j_prime_at(z)
+    return _at(z)[1]
 
 
 def dlog_delta(z: complex) -> complex:
-    return default_cache().dlog_delta_at(z)
+    return _at(z)[2]
 
 
 def delta_value(z: complex) -> complex:
-    return default_cache().delta_at(z)
+    return evaluate(_series()[2], z, tol=math.inf).value
 
 
 NEAR_DIAGONAL_EPS = 1e-8
@@ -281,11 +252,8 @@ def theorem3_rhs(z1: complex, z2: complex, factor: float = 2.0) -> complex:
     (j(z1) - j(z2)) Delta(z1) Delta(z2); the overall constant from the
     squared-modulus convention is configurable.
     """
-    z1 = upper_half(z1, "z1")
-    z2 = upper_half(z2, "z2")
-    cache = default_cache()
-    j1 = cache.j_at(z1)
-    j2 = cache.j_at(z2)
+    j1, j1_prime, dlog_delta1 = _at(upper_half(z1, "z1"))
+    j2 = _at(upper_half(z2, "z2"))[0]
     if abs(j1 - j2) <= NEAR_DIAGONAL_EPS:
         raise NearDiagonal(f"|j(z1) - j(z2)| = {abs(j1 - j2):.3e} too small")
-    return factor * (cache.j_prime_at(z1) / (j1 - j2) + cache.dlog_delta_at(z1))
+    return factor * (j1_prime / (j1 - j2) + dlog_delta1)

@@ -153,8 +153,10 @@ class TestEval:
         ("psi1", "--s", "0.9", "--height", "60"),
         ("xic", "--n", "1", "--s", "0.9", "--tol", "1e-2"),
         ("xic", "--shifted", "--n", "0", "--s", "0.4", "--height", "100"),
+        ("omega", "--k", "12", "--m", "0", "--height", "40"),
+        ("omega", "--k", "12", "--m", "-2", "--height", "40"),
     ], ids=["omega-odd-k", "omega-n-divergent", "psi1-divergent", "xic-divergent",
-            "xic-shifted-divergent"])
+            "xic-shifted-divergent", "omega-m0", "omega-m-negative"])
     def test_invalid_target_value_is_usage_error(self, capsys, argv):
         code, _, err = run_cli(capsys, "eval", argv[0], "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
                                *argv[1:])
@@ -233,6 +235,15 @@ class TestEval:
         doc = json.loads(out)
         assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - (0.0019645759514 - 3.1442948840j)) < 1e-9
         assert doc["warnings"] == ["NotAbsolutelyConvergent"]
+
+    @pytest.mark.parametrize("z", ["0.3+0.05i", "0.3+0.02i"])
+    def test_s_series_fourier_estimate_over_gate_is_numerical_error(self, capsys, z):
+        # this close to the real axis R = 8 modes leave estimates of 2e2 and
+        # 5e3 (the direct route gives 39.339 +- 1e-13 at Im z = 0.05)
+        code, out, err = run_cli(capsys, "eval", "s-series", "--method", "fourier", "--z", z,
+                                 "--n", "0", "--s", "1.5")
+        assert code == 3
+        assert out == "" and "NotConverged" in err
 
     def test_s_series_methods_warn_alike(self, capsys):
         # s = 1.05 lies within the warning margin above the abscissa 1

@@ -292,6 +292,12 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega_direct(Z1, Z2, 11)
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_determinant_below_one(self, m):
+        # T(m) and the enumerator's c = 0 rows need m >= 1
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            omega_direct(Z1, Z2, 12, m, TruncationPolicy(H=40))
+
 
 class TestXi:
     def test_decomposition_identity(self):

@@ -19,35 +19,36 @@ ALLOWED_UNREFERENCED = {("modforms", "j_invariant"), ("modforms", "j_prime"),
                         ("continuation", "arprime_sum")}
 
 
-def _nodes(tree: ast.Module, skip: ast.AST = None):
-    """Every node of tree outside the subtree skip."""
-    stack = [n for n in tree.body if n is not skip]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(c for c in ast.iter_child_nodes(node) if c is not skip)
-
-
-def _refers_to(node: ast.AST, module: str, name: str) -> bool:
-    """node imports name from the sibling module, or reads module.name."""
-    if isinstance(node, ast.ImportFrom):
-        return node.level == 1 and node.module == module and name in {a.name for a in node.names}
-    return (isinstance(node, ast.Attribute) and node.attr == name
-            and isinstance(node.value, ast.Name) and node.value.id == module)
+def _references(tree: ast.Module) -> tuple[dict, set]:
+    """One walk of tree: the top-level statements that read each Name, and
+    the (module, name) pairs taken from a sibling as `from .module import
+    name` or read as `module.name`."""
+    readers, taken = {}, set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                readers.setdefault(node.id, set()).add(top)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                taken.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                taken.add((node.value.id, node.attr))
+    return readers, taken
 
 
 def unreferenced_names() -> list:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert "latsum" in trees, f"no package sources under {PACKAGE}"
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
     out = []
     for module, tree in trees.items():
+        readers = refs[module][0]
         for d in tree.body:
             if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
                 continue
-            used = any(isinstance(n, ast.Name) and n.id == d.name for n in _nodes(tree, d)) or any(
-                _refers_to(n, module, d.name)
-                for stem, other in trees.items() if stem not in (module, "__init__")
-                for n in _nodes(other))
+            # a read outside the definition's own subtree, or from another module
+            used = bool(readers.get(d.name, set()) - {d}) or any(
+                (module, d.name) in taken
+                for stem, (_, taken) in refs.items() if stem not in (module, "__init__"))
             if not used:
                 out.append((module, d.name))
     return out
