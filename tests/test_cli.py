@@ -30,6 +30,159 @@ KLOOSTERMAN_ROWS = {
 }
 
 
+# one invocation per eval target and method, with the stdout each prints in
+# text and in --json, byte for byte (every one exits 0)
+P = ("--z1", "0.1+1.2i", "--z2", "-0.3+0.9i")
+PINNED_EVAL = {
+    "xi-direct": (
+        ("xi", *P, "--n", "1", "--s", "1.5", "--height", "120"),
+        'value    = -4.60966677636784 +3.38814297631182i\nerr est  = 2.418e-05\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -4.60966677636784, '
+        '"im": 3.3881429763118223}, "err_estimate": 2.4184919996439244e-05, '
+        '"method": "direct", "policy": {"H": 120, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 1e-06, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "xi-fourier": (
+        ("xi", *P, "--n", "1", "--s", "1.5", "--method", "fourier", "--rmax", "4", "--cmax", "300"),
+        'value    = -4.60966691192392 +3.3881427585238i\nerr est  = 3.540e-07\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -4.609666911923917, '
+        '"im": 3.3881427585238026}, "err_estimate": 3.540235656512777e-07, '
+        '"method": "fourier", "policy": {"R": 4, "C": 300, "corr_C": 160, "corr_K": 48, '
+        '"tol": 1e-06, "pairing": "derived", "workers": 1}, "warnings": [], '
+        '"timing_ms": null}\n',
+    ),
+    "xi-fourier-printed": (
+        ("xi", *P, "--n", "1", "--s", "1.5", "--method", "fourier", "--rmax", "4", "--cmax", "300", "--pairing", "printed"),
+        'value    = -4.6094728243168 +3.39189092765713i\nerr est  = 3.540e-07\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -4.6094728243168035, '
+        '"im": 3.391890927657131}, "err_estimate": 3.540235656512777e-07, "method": "fourier", '
+        '"policy": {"R": 4, "C": 300, "corr_C": 160, "corr_K": 48, "tol": 1e-06, '
+        '"pairing": "printed", "workers": 1}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "xi-fourier-cmax-raised": (
+        ("xi", *P, "--n", "1", "--s", "1.5", "--method", "fourier", "--rmax", "2", "--cmax", "8", "--tol", "1e-2"),
+        'value    = -4.60966450811006 +3.38814303485816i\nerr est  = 1.357e-05\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -4.609664508110065, '
+        '"im": 3.388143034858159}, "err_estimate": 1.3569094481391655e-05, '
+        '"method": "fourier", "policy": {"R": 2, "C": 16, "corr_C": 160, "corr_K": 48, '
+        '"tol": 0.01, "pairing": "derived", "workers": 1}, "warnings": [], '
+        '"timing_ms": null}\n',
+    ),
+    "xi-extrapolate": (
+        ("xi", *P, "--n", "2", "--s", "1.7", "--method", "extrapolate", "--height", "200", "--tol", "1e-2"),
+        'value    = -6.74263298910744 -3.52157568941839i\nerr est  = 2.498e-03\nmethod   = extrapolated\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -6.742632989107442, '
+        '"im": -3.521575689418391}, "err_estimate": 0.0024975289300640732, '
+        '"method": "extrapolated", "policy": {"H": 200, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 0.01, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "xi0": (
+        ("xi0", *P, "--n", "1", "--s", "1.5"),
+        'value    = -0.764011076143055 -0.710537223450111i\nerr est  = 1.401e-14\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -0.764011076143055, '
+        '"im": -0.7105372234501107}, "err_estimate": 1.4009199121536817e-14, '
+        '"method": "direct", "policy": {"H": 400, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 1e-06, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "xic": (
+        ("xic", *P, "--n", "1", "--s", "1.5", "--height", "100", "--tol", "1e-3"),
+        'value    = -1.92284983373914 +2.04933326997104i\nerr est  = 8.646e-05\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -1.9228498337391355, '
+        '"im": 2.0493332699710445}, "err_estimate": 8.645549886966461e-05, "method": "direct", '
+        '"policy": {"H": 100, "B": 100000, "C": 4000, "R": 8, "tol": 0.001, "workers": 1, '
+        '"refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "xic-shifted": (
+        ("xic", *P, "--n", "1", "--s", "1.5", "--shifted", "--height", "100", "--cmax", "40", "--tol", "1e-3"),
+        'value    = -1.12434954237164 -0.0358452526397862i\nerr est  = 5.209e-04\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -1.124349542371636, '
+        '"im": -0.03584525263978616}, "err_estimate": 0.0005209107495393729, '
+        '"method": "direct", "policy": {"H": 100, "B": 100000, "C": 40, "R": 8, "tol": 0.001, '
+        '"workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "s-series-direct": (
+        ("s-series", "--z", "0.3+1.1i", "--n", "0", "--s", "2.0"),
+        'value    = 1.17438557031624 -5.46506435757399e-29i\nerr est  = 3.260e-15\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 1.1743855703162418, '
+        '"im": -5.465064357573988e-29}, "err_estimate": 3.2595747608704632e-15, '
+        '"method": "direct", "policy": {"H": 400, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 1e-06, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "s-series-fourier": (
+        ("s-series", "--z", "0.3+1.1i", "--n", "0", "--s", "2.0", "--method", "fourier"),
+        'value    = 1.17438557031624 +0i\nerr est  = 1.442e-25\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 1.1743855703162422, "im": 0.0}, '
+        '"err_estimate": 1.4423191750005684e-25, "method": "fourier", "policy": null, '
+        '"warnings": [], "timing_ms": null}\n',
+    ),
+    "s-series-extrapolate": (
+        ("s-series", "--z", "0.3+1.1i", "--n", "1", "--s", "1.5", "--method", "extrapolate"),
+        'value    = 0.0111520072092078 -1.81428716521993i\nerr est  = 9.406e-15\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 0.01115200720920783, '
+        '"im": -1.8142871652199333}, "err_estimate": 9.405554165057013e-15, '
+        '"method": "direct", "policy": {"H": 400, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 1e-06, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "omega-m2": (
+        ("omega", *P, "--k", "12", "--m", "2", "--height", "40"),
+        'value    = 9.00879796847885e-06 -7.82932430589996e-06i\nerr est  = 5.578e-16\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 9.008797968478852e-06, '
+        '"im": -7.829324305899956e-06}, "err_estimate": 5.578114789614495e-16, '
+        '"method": "direct", "policy": {"H": 40, "B": 100000, "C": 4000, "R": 8, "tol": 1e-06, '
+        '"workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "omega-n": (
+        ("omega-n", *P, "--n", "1", "--s", "1.5", "--height", "100", "--tol", "1e-3"),
+        'value    = 0.241082839076773 +0.168704520875862i\nerr est  = 3.280e-06\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 0.24108283907677278, '
+        '"im": 0.16870452087586246}, "err_estimate": 3.2798563700506196e-06, '
+        '"method": "direct", "policy": {"H": 100, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 0.001, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "psi1": (
+        ("psi1", *P, "--s", "1.5", "--height", "100", "--tol", "1e-3"),
+        'value    = 57.797753437199 +0i\nerr est  = 1.928e-04\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 57.79775343719905, "im": 0.0}, '
+        '"err_estimate": 0.00019283467137844109, "method": "direct", "policy": {"H": 100, '
+        '"B": 100000, "C": 4000, "R": 8, "tol": 0.001, "workers": 1, "refine": "lsq"}, '
+        '"warnings": [], "timing_ms": null}\n',
+    ),
+    "psi2": (
+        ("psi2", *P, "--s", "1.5", "--height", "100", "--tol", "1e-3"),
+        'value    = 3.58367776422703 +0i\nerr est  = 1.933e-04\nmethod   = direct\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 3.5836777642270348, "im": 0.0}, '
+        '"err_estimate": 0.00019327150218504267, "method": "direct", "policy": {"H": 100, '
+        '"B": 100000, "C": 4000, "R": 8, "tol": 0.001, "workers": 1, "refine": "lsq"}, '
+        '"warnings": [], "timing_ms": null}\n',
+    ),
+    "xi-star": (
+        ("xi-star", "--z1", "0.2+1.3i", "--z2", "-0.3+0.9i", "--cmax", "300", "--tol", "1e-3"),
+        'value    = -2.09907475476997 -0.203186190207893i\nerr est  = 1.139e-03\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -2.0990747547699717, '
+        '"im": -0.20318619020789264}, "err_estimate": 0.0011387754999003068, '
+        '"method": "fourier", "policy": {"R": 8, "C": 300, "corr_C": 160, "corr_K": 48, '
+        '"tol": 0.001, "pairing": "derived", "workers": 1}, "warnings": [], '
+        '"timing_ms": null}\n',
+    ),
+    "omega2": (
+        ("omega2", *P),
+        'value    = 0.000263952288617071 +0.000593995378278426i\nerr est  = 2.134e-03\nmethod   = extrapolated\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 0.00026395228861707113, '
+        '"im": 0.000593995378278426}, "err_estimate": 0.0021342212720819073, '
+        '"method": "extrapolated", "policy": {"H": 800, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 0.01, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+    "omega2-flagged": (
+        ("omega2", *P, "--height", "400", "--tol", "1e-2"),
+        'value    = 0.000297223500458405 +0.000647997121191812i\nerr est  = 2.578e-03\nmethod   = extrapolated\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": 0.0002972235004584051, '
+        '"im": 0.0006479971211918117}, "err_estimate": 0.002577809004242093, '
+        '"method": "extrapolated", "policy": {"H": 400, "B": 100000, "C": 4000, "R": 8, '
+        '"tol": 0.01, "workers": 1, "refine": "lsq"}, "warnings": [], "timing_ms": null}\n',
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -68,6 +221,25 @@ class TestComplexParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_complex("bogus")
+
+
+class TestPinnedStdout:
+    @pytest.mark.parametrize("name", PINNED_EVAL)
+    def test_stdout_bytes(self, capsys, name):
+        argv, text, doc = PINNED_EVAL[name]
+        assert run_cli(capsys, "eval", *argv) == (0, text, "")
+        assert run_cli(capsys, "eval", *argv, "--json") == (0, doc, "")
+
+    def test_timing_adds_only_the_time(self, capsys):
+        argv, text, doc = PINNED_EVAL["xi-direct"]
+        code, out, _ = run_cli(capsys, "eval", *argv, "--timing")
+        *lines, last = out.splitlines(keepends=True)
+        assert code == 0 and "".join(lines) == text
+        assert re.fullmatch(r"time     = \d+\.\d ms\n", last)
+        code, out, _ = run_cli(capsys, "eval", *argv, "--json", "--timing")
+        timed = json.loads(out)
+        assert code == 0 and isinstance(timed["timing_ms"], float) and timed["timing_ms"] >= 0
+        assert out.replace(f'"timing_ms": {timed["timing_ms"]!r}', '"timing_ms": null') == doc
 
 
 class TestEval:
