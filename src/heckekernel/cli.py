@@ -16,7 +16,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
@@ -76,36 +77,30 @@ def _glue_complex_args(argv: list[str]) -> list[str]:
     return out
 
 
+# each policy flag (every config key but method) and the field it sets in
+# TruncationPolicy, FourierAssemblyConfig or both
+_FIELD_OF_FLAG = {"height": "H", "bmax": "B", "cmax": "C", "rmax": "R", "tol": "tol",
+                  "workers": "workers", "pairing": "pairing"}
+
+
+def _flagged_fields(args, config_class) -> dict:
+    """The fields of config_class that the flags set."""
+    names = {f.name for f in fields(config_class)}
+    return {field: getattr(args, flag) for flag, field in _FIELD_OF_FLAG.items()
+            if field in names and getattr(args, flag) is not None}
+
+
 def _policy_from_args(args) -> TruncationPolicy | None:
     """The policy the flags set, or None when no policy flag is given."""
-    kw = {}
-    if args.height is not None:
-        kw["H"] = args.height
-    if args.bmax is not None:
-        kw["B"] = args.bmax
-    if args.cmax is not None:
-        kw["C"] = args.cmax
-    if args.rmax is not None:
-        kw["R"] = args.rmax
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.workers is not None:
-        kw["workers"] = args.workers
+    kw = _flagged_fields(args, TruncationPolicy)
     return TruncationPolicy(**kw) if kw else None
 
 
 def _assembly_from_args(args) -> FourierAssemblyConfig:
-    kw = {}
-    if args.rmax is not None:
-        kw["R"] = args.rmax
-    if args.cmax is not None:
-        kw["C"] = max(16, args.cmax)
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.workers is not None:
-        kw["workers"] = args.workers
-    if args.pairing is not None:
-        kw["pairing"] = args.pairing
+    """The Fourier assembly config the flags set, with C raised to at least 16."""
+    kw = _flagged_fields(args, FourierAssemblyConfig)
+    if "C" in kw:
+        kw["C"] = max(16, kw["C"])
     return FourierAssemblyConfig(**kw)
 
 
@@ -138,58 +133,43 @@ def _emit_eval(result: EvalResult, args, elapsed_ms: float) -> None:
             print(f"time     = {elapsed_ms:.1f} ms")
 
 
+def _s_series_fourier(args, policy: TruncationPolicy) -> EvalResult:
+    r = continuation.s_series_fourier(args.z, args.n, args.s, R=policy.R)
+    return accept(r.value, r.err_estimate, r.method, policy.tol, warnings=r.warnings)
+
+
+# eval target, or "target method" where the method picks the route: the flags it
+# needs and its evaluation from (args, policy, assembly config); omega2 keeps its
+# own default policy unless a policy flag is given
+_TARGETS = {
+    "xi": ("z1 z2 n s", lambda a, p, c: latsum.xi_direct(a.z1, a.z2, a.n, a.s, p)),
+    "xi fourier": ("z1 z2 n s", lambda a, p, c: continuation.xi_fourier(a.z1, a.z2, a.n, a.s, c, p)),
+    "xi extrapolate": ("z1 z2 n s",
+                       lambda a, p, c: continuation.xi_extrapolated(a.z1, a.z2, a.n, a.s, policy=p)),
+    "xi0": ("z1 z2 n s", lambda a, p, c: latsum.xi0_direct(a.z1, a.z2, a.n, a.s, p)),
+    "xic": ("z1 z2 n s", lambda a, p, c: latsum.xic_direct(a.z1, a.z2, a.n, a.s, p, shifted=a.shifted)),
+    "s-series": ("z n s", lambda a, p, c: latsum.s_series_direct(a.z, a.n, a.s, p)),
+    "s-series fourier": ("z n s", lambda a, p, c: _s_series_fourier(a, p)),
+    "omega": ("z1 z2 k", lambda a, p, c: latsum.omega_direct(a.z1, a.z2, a.k, a.m, p)),
+    "omega-n": ("z1 z2 n s", lambda a, p, c: latsum.omega_n_direct(a.z1, a.z2, a.n, a.s, p)),
+    "psi1": ("z1 z2 s", lambda a, p, c: latsum.psi_direct(1, a.z1, a.z2, a.s, p)),
+    "psi2": ("z1 z2 s", lambda a, p, c: latsum.psi_direct(2, a.z1, a.z2, a.s, p)),
+    "xi-star": ("z1 z2", lambda a, p, c: continuation.xi_star(a.z1, a.z2, c, p)),
+    "omega2": ("z1 z2", lambda a, p, c: continuation.omega2(a.z1, a.z2, policy=_policy_from_args(a))),
+}
+
+
 def _run_eval(args) -> int:
-    flagged = _policy_from_args(args)
-    policy = flagged or TruncationPolicy()
+    policy = _policy_from_args(args) or TruncationPolicy()
     cfg = _assembly_from_args(args)
+    needs, evaluate = _TARGETS.get(f"{args.target} {args.method}") or _TARGETS[args.target]
+    for name in needs.split():
+        if getattr(args, name) is None:
+            raise UsageError(f"eval target {args.target!r} requires --{name}")
     t0 = time.perf_counter()
-    target = args.target
-    if target == "xi":
-        _need(args, "z1", "z2", "n", "s")
-        if args.method == "fourier":
-            result = continuation.xi_fourier(args.z1, args.z2, args.n, args.s, cfg, policy)
-        elif args.method == "extrapolate":
-            result = continuation.xi_extrapolated(args.z1, args.z2, args.n, args.s, policy=policy)
-        else:
-            result = latsum.xi_direct(args.z1, args.z2, args.n, args.s, policy)
-    elif target == "xi0":
-        _need(args, "z1", "z2", "n", "s")
-        result = latsum.xi0_direct(args.z1, args.z2, args.n, args.s, policy)
-    elif target == "xic":
-        _need(args, "z1", "z2", "n", "s")
-        result = latsum.xic_direct(args.z1, args.z2, args.n, args.s, policy, shifted=args.shifted)
-    elif target == "s-series":
-        _need(args, "z", "n", "s")
-        if args.method == "fourier":
-            r = continuation.s_series_fourier(args.z, args.n, args.s, R=policy.R)
-            result = accept(r.value, r.err_estimate, r.method, policy.tol, warnings=r.warnings)
-        else:
-            result = latsum.s_series_direct(args.z, args.n, args.s, policy)
-    elif target == "omega":
-        _need(args, "z1", "z2", "k")
-        result = latsum.omega_direct(args.z1, args.z2, args.k, args.m, policy)
-    elif target == "omega-n":
-        _need(args, "z1", "z2", "n", "s")
-        result = latsum.omega_n_direct(args.z1, args.z2, args.n, args.s, policy)
-    elif target in ("psi1", "psi2"):
-        _need(args, "z1", "z2", "s")
-        result = latsum.psi_direct(int(target[-1]), args.z1, args.z2, args.s, policy)
-    elif target == "xi-star":
-        _need(args, "z1", "z2")
-        result = continuation.xi_star(args.z1, args.z2, cfg, policy)
-    elif target == "omega2":
-        _need(args, "z1", "z2")
-        result = continuation.omega2(args.z1, args.z2, policy=flagged)
-    else:
-        raise UsageError(f"unknown eval target {target!r}")
+    result = evaluate(args, policy, cfg)
     _emit_eval(result, args, (time.perf_counter() - t0) * 1e3)
     return 0
-
-
-def _need(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"eval target {args.target!r} requires --{name.replace('_', '-')}")
 
 
 _CHECKS = {
@@ -220,47 +200,44 @@ def _run_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _table_size(args, flag: str, default: int) -> int:
-    """The row count --cmax or --order: default when the flag is absent, else at least 1."""
+def _table_size(args, flag: str) -> int:
+    """The row count --cmax or --order, at least 1."""
     size = getattr(args, flag)
-    size = default if size is None else size
     if size < 1:
         raise UsageError(f"--{flag} must be >= 1, got {size}")
     return size
 
 
+_QSERIES = {"e4": partial(modforms.eisenstein, 4), "e6": partial(modforms.eisenstein, 6),
+            "delta": modforms.delta_series, "j": modforms.j_q_series}
+
+
+def _qseries_rows(args) -> list[tuple]:
+    order = _table_size(args, "order")
+    if args.series not in _QSERIES:
+        raise UsageError(f"unknown series {args.series!r}; available: {', '.join(sorted(_QSERIES))}")
+    return [(nn, v.real) for nn, v in _QSERIES[args.series](order).rows()]
+
+
+def _rows(values) -> list[tuple]:
+    return list(enumerate(values.tolist(), 1))
+
+
+# table name -> its column headers and rows
+_TABLES = {
+    "kloosterman": lambda a: (("c", f"K({a.a},{a.b};c)"), [
+        (c, arith.kloosterman_matrix(c, [a.a], [a.b])[0, 0].real) for c in range(1, _table_size(a, "cmax") + 1)]),
+    "ramanujan": lambda a: (("c", f"C_c({a.r})"), _rows(arith.ramanujan_sieve(_table_size(a, "cmax"), a.r))),
+    "totient": lambda a: (("c", "phi(c)"), _rows(arith.totient_sieve(_table_size(a, "cmax")))),
+    "divisor": lambda a: (("n", "d(n)"), _rows(arith.divisor_sieve(_table_size(a, "cmax")))),
+    "qseries": lambda a: (("n", f"coefficient[{a.series}]"), _qseries_rows(a)),
+}
+
+
 def _run_table(args) -> int:
-    rows: list[tuple]
-    if args.name == "kloosterman":
-        a = args.a if args.a is not None else 1
-        b = args.b if args.b is not None else 1
-        cmax = _table_size(args, "cmax", 20)
-        rows = [(c, arith.kloosterman_matrix(c, [a], [b])[0, 0].real) for c in range(1, cmax + 1)]
-        header = ("c", f"K({a},{b};c)")
-    elif args.name == "ramanujan":
-        r = args.r if args.r is not None else 1
-        rows = list(enumerate(arith.ramanujan_sieve(_table_size(args, "cmax", 20), r).tolist(), 1))
-        header = ("c", f"C_c({r})")
-    elif args.name == "totient":
-        rows = list(enumerate(arith.totient_sieve(_table_size(args, "cmax", 20)).tolist(), 1))
-        header = ("c", "phi(c)")
-    elif args.name == "divisor":
-        rows = list(enumerate(arith.divisor_sieve(_table_size(args, "cmax", 20)).tolist(), 1))
-        header = ("n", "d(n)")
-    elif args.name == "qseries":
-        order = _table_size(args, "order", 16)
-        series = {
-            "e4": lambda: modforms.eisenstein(4, order),
-            "e6": lambda: modforms.eisenstein(6, order),
-            "delta": lambda: modforms.delta_series(order),
-            "j": lambda: modforms.j_q_series(order),
-        }
-        if args.series not in series:
-            raise UsageError(f"unknown series {args.series!r}; available: {', '.join(sorted(series))}")
-        rows = [(nn, v.real) for nn, v in series[args.series]().rows()]
-        header = ("n", f"coefficient[{args.series}]")
-    else:
+    if args.name not in _TABLES:
         raise UsageError(f"unknown table {args.name!r}")
+    header, rows = _TABLES[args.name](args)
     if args.json:
         doc = {
             "schema": SCHEMA,
@@ -284,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a series")
-    p_eval.add_argument("target", choices=(
-        "xi", "xi0", "xic", "s-series", "omega", "omega-n", "psi1", "psi2",
-        "xi-star", "omega2"))
+    p_eval.add_argument("target", choices=list(dict.fromkeys(t.split()[0] for t in _TARGETS)))
     p_eval.add_argument("--z1", type=parse_complex)
     p_eval.add_argument("--z2", type=parse_complex)
     p_eval.add_argument("--z", type=parse_complex)
@@ -315,45 +290,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="emit a value table")
     p_table.add_argument("name")
-    p_table.add_argument("--a", type=int)
-    p_table.add_argument("--b", type=int)
-    p_table.add_argument("--r", type=int)
+    p_table.add_argument("--a", type=int, default=1)
+    p_table.add_argument("--b", type=int, default=1)
+    p_table.add_argument("--r", type=int, default=1)
     p_table.add_argument("--series", type=str, default="delta")
-    p_table.add_argument("--order", type=int)
-    p_table.add_argument("--cmax", type=int, help="last row")
+    p_table.add_argument("--order", type=int, default=16)
+    p_table.add_argument("--cmax", type=int, default=20, help="last row")
     p_table.add_argument("--json", action="store_true")
 
     return parser
 
 
-_CONFIG_KEYS = {
-    "height": int, "bmax": int, "cmax": int, "rmax": int, "tol": float,
-    "workers": int, "pairing": str, "method": str,
-}
+_CONFIG_KEYS = {*_FIELD_OF_FLAG, "method"}
 
 
-def _apply_config(args, argv_flags: set) -> None:
-    if not args.config:
-        return
+def _config_flags(path: str) -> list[str]:
+    """The key=value lines of a config file as --key=value flags."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    for line in lines:
-        line = line.strip()
+    flags = []
+    for line in map(str.strip, lines):
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise UsageError(f"malformed config line {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
-        if f"--{key}" in argv_flags:
-            continue  # command-line flags win
-        setattr(args, key, _CONFIG_KEYS[key](value))
+        if key.strip() not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key.strip()!r}")
+        flags.append(f"--{key.strip()}={value.strip()}")
+    return flags
+
+
+_COMMANDS = {"eval": _run_eval, "check": _run_check, "table": _run_table}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,27 +332,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go ahead of the command line's, and the last flag wins
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command == "eval":
-            _apply_config(args, {a.split("=")[0] for a in argv if a.startswith("--")})
-            return _run_eval(args)
-        if args.command == "check":
-            return _run_check(args)
-        if args.command == "table":
-            return _run_table(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (HeckeKernelError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # argument values the evaluators reject (LinAlgError, a numerical
-        # failure, is a ValueError too and is caught above)
+    except (HeckeKernelError, ValueError) as exc:
+        # a UsageError, or a ValueError for an argument value an evaluator
+        # rejects, is a usage error; every other package error is numerical,
+        # and so is LinAlgError, though it is a ValueError
+        if isinstance(exc, np.linalg.LinAlgError) or not isinstance(exc, (UsageError, ValueError)):
+            print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

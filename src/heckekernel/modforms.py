@@ -42,11 +42,12 @@ class QSeries:
     """Truncated q-expansion q^offset * sum_{i=0..N} coeffs[i] q^i.
 
     Coefficients stay exact (Fraction or int); ``weight`` records the
-    modular weight used for fundamental-domain covariance.
+    modular weight used for fundamental-domain covariance, or is None for a
+    quasi-modular series (a q-derivative of nonzero weight), which has none.
     """
 
     coeffs: tuple
-    weight: int
+    weight: int | None
     offset: int = 0
 
     @property
@@ -57,7 +58,8 @@ class QSeries:
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [sum(a[i] * b[k - i] for i in range(max(0, k - other.order), min(k, self.order) + 1)) for k in range(n + 1)]
-        return QSeries(tuple(out), self.weight + other.weight, self.offset + other.offset)
+        weight = None if None in (self.weight, other.weight) else self.weight + other.weight
+        return QSeries(tuple(out), weight, self.offset + other.offset)
 
     def __pow__(self, exponent: int) -> "QSeries":
         if exponent < 1:
@@ -86,12 +88,16 @@ class QSeries:
             for i in range(1, min(k, other.order) + 1):
                 acc -= u[i] * c[k - i]
             c.append(acc)
-        return QSeries(tuple(c), self.weight - other.weight, self.offset - other.offset)
+        weight = None if None in (self.weight, other.weight) else self.weight - other.weight
+        return QSeries(tuple(c), weight, self.offset - other.offset)
 
     def q_derivative(self) -> "QSeries":
-        """d/dz applied term-wise: 2 pi i sum (n + offset) a_n q^(n + offset)."""
+        """D = q d/dq applied term-wise, sum (n + offset) a_n q^(n + offset),
+        so d/dz = 2 pi i D.  D f has weight 2 for f of weight 0; for any other
+        weight k it is only quasi-modular, (D f)(gamma z) = (cz + d)^(k + 2)
+        (D f)(z) + k c (cz + d)^(k + 1) f(z) / (2 pi i), and its weight is None."""
         out = [(n + self.offset) * self.coeffs[n] for n in range(self.order + 1)]
-        return QSeries(tuple(out), self.weight + 2, self.offset)
+        return QSeries(tuple(out), 2 if self.weight == 0 else None, self.offset)
 
     @functools.cached_property
     def complex_coeffs(self) -> tuple[complex, ...]:
@@ -191,10 +197,15 @@ def evaluate(series: QSeries, z: complex, tol: float = 1e-9) -> EvalResult:
     """Evaluate a QSeries at z with fundamental-domain reduction.
 
     Reduction uses the weight tag: f(z) = (c z + d)^(-weight) f(gamma z).
-    Raises TailTooLarge when the reported tail bound exceeds tol.
+    Raises TailTooLarge when the reported tail bound exceeds tol, and
+    ValueError for a quasi-modular series (weight None) at a point that only
+    an inversion (c != 0) brings into F.
     """
     z = upper_half(z)
     w, (a, b, c, d) = reduce_to_fundamental(z)
+    if series.weight is None and c:
+        raise ValueError(f"a quasi-modular series has no weight covariance to carry z = {z} "
+                         "into the fundamental domain")
     cov = (c * z + d) ** (-series.weight) if series.weight else 1.0
     q = cmath.exp(TWO_PI_I * w)
     acc = _horner(series, q)

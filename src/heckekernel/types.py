@@ -97,6 +97,7 @@ class FourierAssemblyConfig:
                 sums c = 1..C; the rest is bounded by the Weil tail),
     corr_C      c-cutoff of the 1/c-shift correction series,
     corr_K      lattice window of the correction series,
+    tol         requested tolerance (in (0, 1e-2], as TruncationPolicy.tol),
     pairing     "derived" uses K(r, -r'; c) with phases (r, Re z2),
                 (r', Re z1); "printed" is the alternative convention kept
                 for the overlap experiment that rejects it,
@@ -119,6 +120,8 @@ class FourierAssemblyConfig:
             raise ValueError("C must be >= 16")
         if self.corr_C < 1 or self.corr_K < 1:
             raise ValueError("correction cutoffs must be positive")
+        if not (0.0 < self.tol <= 1e-2):
+            raise ValueError(f"tol must be in (0, 1e-2], got {self.tol}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.pairing not in ("derived", "printed"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heckekernel import identities, latsum
-from heckekernel.cli import build_parser, main, parse_complex
+from heckekernel.cli import _CONFIG_KEYS, build_parser, main, parse_complex
 from heckekernel.types import CheckReport
 
 
@@ -612,6 +612,40 @@ class TestConfig:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("text, name, flag", [
+        ("height=130\n", "xi-direct", ()),  # the pinned flags hold --height 120
+        ("method=fourier\n", "xi-direct", ("--method", "direct")),
+        ("method=direct\n", "xi-fourier", ()),  # the pinned flags hold --method fourier
+    ])
+    def test_flags_beat_config_anywhere(self, capsys, tmp_path, text, name, flag):
+        cfg = tmp_path / "hk.cfg"
+        cfg.write_text(text)
+        argv, _, doc = PINNED_EVAL[name]
+        for flags in ((*argv, *flag, "--config", str(cfg)), ("--config", str(cfg), *argv, *flag)):
+            assert run_cli(capsys, "eval", *flags, "--json") == (0, doc, "")
+
+    @pytest.mark.parametrize("text", ["method=fourrier\n", "height=abc\n", "tol=0.5\n", "tol=0\n",
+                                      "pairing=derivd\n", "height=\n", "workers=0\n"])
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, text):
+        # every config value goes through the parser and the policy checks;
+        # method=fourrier used to run the direct route and exit 0
+        cfg = tmp_path / "hk.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                                 "--n", "1", "--s", "1.5", "--height", "60", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "usage" in err
+
+    @pytest.mark.parametrize("text, message", [("heighth=130\n", "usage error: unknown config key 'heighth'"),
+                                               ("height 130\n", "usage error: malformed config line 'height 130'")])
+    def test_config_messages(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "hk.cfg"
+        cfg.write_text(f"# comment\n\n{text}")
+        code, out, err = run_cli(capsys, "eval", "xi", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i",
+                                 "--n", "1", "--s", "1.5", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == message
+
     def test_env_workers(self, capsys, monkeypatch):
         monkeypatch.setenv("HECKE_WORKERS", "2")
         code, out, _ = run_cli(
@@ -635,3 +669,8 @@ class TestReadme:
             for cmd, p in sub.choices.items()
         }
         assert documented == actual
+
+    def test_config_keys_match_cli(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        keys = re.search(r"^Config keys: (.*?)\.$", text, re.M | re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", keys)) == _CONFIG_KEYS

@@ -375,6 +375,15 @@ class TestXiFourier:
         with pytest.raises(ValueError):
             xi_fourier(Z1, Z2, 1, 0.9)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 5.0, 0.011])
+    def test_assembly_tol_checked_as_policy_tol(self, tol):
+        # tol in (0, 1e-2], as TruncationPolicy has it; tol = 0 used to reach
+        # the acceptance gate and raise NotConverged, a numerical error
+        for config in (FourierAssemblyConfig, TruncationPolicy):
+            with pytest.raises(ValueError, match="tol must be in"):
+                config(tol=tol)
+        assert FourierAssemblyConfig(tol=1e-2).tol == 1e-2
+
 
 BOUNDARY_CFG = FourierAssemblyConfig(R=8, C=3000, corr_C=160, corr_K=48, tol=1e-3)
 

@@ -284,6 +284,32 @@ class TestTheorem3Rhs:
         )
 
 
+class TestQDerivative:
+    # D = q d/dq, so dF/dz = 2 pi i D F
+    def test_quasi_modular_refused_outside_f(self):
+        # Delta' is only quasi-modular: the weight factor alone gave
+        # -0.0323 - 0.0229i at 0.1 + 0.6i, against 0.0091 - 0.0029i by a
+        # central difference
+        d_delta = delta_series(40).q_derivative()
+        assert d_delta.weight is None and (d_delta * eisenstein(4, 40)).weight is None
+        with pytest.raises(ValueError, match="quasi-modular"):
+            evaluate(d_delta, 0.1 + 0.6j)
+
+    @pytest.mark.parametrize("z", [0.1 + 1.2j, 2.1 + 1.2j, -0.45 + 0.9j])
+    def test_quasi_modular_in_f_and_its_translates(self, z):
+        h = 1e-5
+        fd = (delta_value(z + h) - delta_value(z - h)) / (2 * h)
+        value = 2j * math.pi * evaluate(delta_series(40).q_derivative(), z).value
+        assert abs(value - fd) / abs(fd) < 1e-7
+
+    @pytest.mark.parametrize("z", [0.1 + 0.6j, 0.3 + 0.2j])
+    def test_derivative_of_weight_zero_has_weight_two(self, z):
+        # j' is modular of weight 2, so it is carried into F like any form
+        d_j = j_q_series(40).q_derivative()
+        assert d_j.weight == 2
+        assert abs(2j * math.pi * evaluate(d_j, z, tol=1e-6).value - j_prime(z)) <= 1e-12 * abs(j_prime(z))
+
+
 class TestQSeriesOps:
     def test_rows_export(self):
         rows = delta_series(3).rows()
