@@ -315,12 +315,12 @@ def _config_flags(path: str) -> list[str]:
     for line in map(str.strip, lines):
         if not line or line.startswith("#"):
             continue
-        key, eq, value = line.partition("=")
+        key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise UsageError(f"malformed config line {line!r}")
-        if key.strip() not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key.strip()!r}")
-        flags.append(f"--{key.strip()}={value.strip()}")
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
+        flags.append(f"--{key}={value}")
     return flags
 
 

@@ -42,8 +42,9 @@ class QSeries:
     """Truncated q-expansion q^offset * sum_{i=0..N} coeffs[i] q^i.
 
     Coefficients stay exact (Fraction or int); ``weight`` records the
-    modular weight used for fundamental-domain covariance, or is None for a
-    quasi-modular series (a q-derivative of nonzero weight), which has none.
+    modular weight used for fundamental-domain covariance, or is None where
+    there is none: a q-derivative of nonzero weight (only quasi-modular),
+    a series built from one, or a difference of unequal weights.
     """
 
     coeffs: tuple
@@ -74,7 +75,7 @@ class QSeries:
             raise ValueError("offsets must match for subtraction")
         n = min(self.order, other.order)
         out = [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        return QSeries(tuple(out), self.weight, self.offset)
+        return QSeries(tuple(out), self.weight if self.weight == other.weight else None, self.offset)
 
     def divide(self, other: "QSeries") -> "QSeries":
         """Series division; the divisor's leading coefficient must be 1."""
@@ -198,14 +199,14 @@ def evaluate(series: QSeries, z: complex, tol: float = 1e-9) -> EvalResult:
 
     Reduction uses the weight tag: f(z) = (c z + d)^(-weight) f(gamma z).
     Raises TailTooLarge when the reported tail bound exceeds tol, and
-    ValueError for a quasi-modular series (weight None) at a point that only
-    an inversion (c != 0) brings into F.
+    ValueError for a series without a weight (None) at a point that only an
+    inversion (c != 0) brings into F.
     """
     z = upper_half(z)
     w, (a, b, c, d) = reduce_to_fundamental(z)
     if series.weight is None and c:
-        raise ValueError(f"a quasi-modular series has no weight covariance to carry z = {z} "
-                         "into the fundamental domain")
+        raise ValueError(f"a series with no modular weight (such as a q-derivative of nonzero "
+                         f"weight) cannot be carried from z = {z} into the fundamental domain")
     cov = (c * z + d) ** (-series.weight) if series.weight else 1.0
     q = cmath.exp(TWO_PI_I * w)
     acc = _horner(series, q)
