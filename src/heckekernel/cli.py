@@ -174,8 +174,8 @@ def _run_eval(args) -> int:
 
 _CHECKS = {
     "lemma1": lambda args: identities.check_lemma1(),
-    "dbar-z1": lambda args: identities.check_dbar_z1(args.z1 or 0.1 + 1.2j, args.z2 or -0.3 + 0.9j),
-    "dbar-z2": lambda args: identities.check_dbar_z2(args.z1 or 0.1 + 1.2j, args.z2 or -0.3 + 0.9j),
+    "dbar-z1": lambda args: identities.check_dbar_z1(args.z1, args.z2),
+    "dbar-z2": lambda args: identities.check_dbar_z2(args.z1, args.z2),
     "theorem3": lambda args: identities.check_theorem3(),
     "weil": lambda args: identities.check_weil(),
     "dirichlet": lambda args: identities.check_dirichlet(),
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run an identity checker")
     p_check.add_argument("name")
-    p_check.add_argument("--z1", type=parse_complex, help="point of the dbar checks")
-    p_check.add_argument("--z2", type=parse_complex, help="point of the dbar checks")
+    for flag, point in (("--z1", 0.1 + 1.2j), ("--z2", -0.3 + 0.9j)):
+        p_check.add_argument(flag, type=parse_complex, default=point, help="point of the dbar checks")
     p_check.add_argument("--json", action="store_true")
 
     p_table = sub.add_parser("table", help="emit a value table")

@@ -36,6 +36,12 @@ exactly where alpha_2n(2s) has a simple zero (the last linear factor
 
 so zeta(4s-2n-1) alpha_2n(2s) -> -pi/(2n) and the constant term tends to
 -3 / (n y1 y2); the z2 modes carry the zero without the pole and vanish.
+
+There the double modes' Kloosterman zeta has exponent 4s - 2n = 2, where
+a partial sum to C converges only like C^(-1/2).  Petersson's formula at
+weight 2 and Rademacher's exact coefficients of j_m turn each entry into a
+rapidly convergent sum with a rigorous tail (_edge_zeta); entries whose
+closed form cancels beyond double precision keep the partial sum.
 """
 
 from __future__ import annotations
@@ -47,9 +53,11 @@ import math
 import numpy as np
 
 from .accumulate import tree_sum
-from .arith import divisor_sieve, divisor_sigma, kloosterman_sums
+from .arith import divisor_sieve, divisor_sigma, divisors, kloosterman_sums
 from .errors import PoleAt
-from .special import gamma_fn, hurwitz_tail, phi_factor, rgamma, zeta_fn, zeta_near_one
+from .modforms import j_q_series
+from .special import (bessel_i1, bessel_j1, gamma_fn, hurwitz_tail, phi_factor, rgamma, zeta_fn,
+                      zeta_near_one)
 from .latsum import (convergence_warnings, limit_fit, omega_n_direct, xi0_direct, xi_direct,
                      xic_offset_diffs)
 from .types import (EvalResult, FourierAssemblyConfig, PhiArgs, TruncationPolicy, accept,
@@ -131,10 +139,11 @@ def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
 @functools.lru_cache(maxsize=64)
 def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
                              pairing: str) -> tuple:
-    """Matrix Z[i, j] = sum_{c <= C} K(r_i, -r'_j; c) / c^exponent (K(r_i, r'_j; c)
-    for pairing="printed"), returned with the matrix of Weil tail bounds
-    sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C).
+    """Matrix Z[i, j] = sum_c K(r_i, -r'_j; c) / c^exponent (K(r_i, r'_j; c)
+    for pairing="printed"), returned with the matrix of its error bounds.
 
+    Away from exponent 2 the sum stops at C, with the Weil tail bound
+    sqrt(max(1, min(|r_i|, |r'_j|))) * tail(C); at exponent 2, _edge_zeta.
     The K_c come from arith.kloosterman_sums, one FFT row per prime power q,
     built once in O(q log q), and K(a, b; c) = prod_i K(a, b u_i*^2; q_i)
     over c = prod_i q_i, u_i = c / q_i mod q_i.
@@ -142,12 +151,77 @@ def _kloosterman_zeta_cached(rs: tuple, rps: tuple, exponent: float, C: int,
     sign = -1 if pairing == "derived" else 1
     r_arr = np.array(rs, dtype=np.int64)
     rp_arr = np.array(rps, dtype=np.int64) * sign
+    if exponent == 2.0:
+        return tuple(tuple(map(tuple, M)) for M in _edge_zeta(r_arr, rp_arr, C))
     Z = np.zeros((len(rs), len(rps)), dtype=np.complex128)
     for c, K in kloosterman_sums(C, r_arr, rp_arr):
         Z += K * c ** (-exponent)
     a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
     tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
     return tuple(map(tuple, Z)), tuple(map(tuple, tails))
+
+
+def _edge_zeta(a: np.ndarray, b: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z[i, j] = sum_c K(a_i, b_j; c) / c^2 and its bounds, each entry from
+    whichever of two forms has the smaller bound, both summed over
+    c <= C' = min(C, 4 ceil(4 pi max |r|)) in one kloosterman_sums pass.
+
+    The closed form: with x = 4 pi sqrt|a b| and B = J_1 for a b > 0
+    (Petersson's formula at weight 2, where S_2(SL_2(Z)) = 0, rhs =
+    delta_(|a|,|b|) / (2 pi)), B = I_1 for a b < 0 (Rademacher's, rhs =
+    c_m(n) / (2 pi sqrt(m/n)), (m, n) = (|a|, |b|), c_m(n) the q^n
+    coefficient of j_m = q^-m + O(q)),
+
+        sum_c K/c B(x/c) = rhs,  so  Z = (2/x) [rhs - sum_c K/c (B(x/c) - x/(2c))].
+
+    For C' >= x, |B(t) - t/2| <= t^3/15 (t <= 1) and Weil's bound give the
+    tail (2 x^2/15) sqrt(max(1, min)) _weil_zeta_tail(4, C'), and the
+    round-off adds eps (2/x) (|rhs| + sum_c (|K| + sqrt c)/c (|B| + x/(2c))),
+    eps = (C' + 128) u: the bound (C' - 1) u of the running sums over c,
+    with room for the Bessel values' and the FFT sums' own round-off.  With
+    B = I_1 that term grows like e^x / x^(3/2), so entries with large |a b|
+    keep the other form, the partial sum with its Weil tail.
+    """
+    C = min(C, 4 * math.ceil(4 * math.pi * max(np.abs(a).max(), np.abs(b).max())))
+    ab = np.multiply.outer(a, b)
+    keys, col = np.unique(ab, return_inverse=True)
+    col = col.reshape(ab.shape)
+    xs = 4.0 * math.pi * np.sqrt(np.abs(keys))
+    live = (xs <= C) & ((keys > 0) | (xs <= 700.0))  # I_1 overflows past e^709
+    t = xs / np.arange(1, C + 1)[:, None]
+    B = np.zeros_like(t)
+    for kind, bessel in ((keys > 0, bessel_j1), (keys < 0, bessel_i1)):
+        B[:, live & kind] = bessel(t[:, live & kind])
+    D, mag = B - t / 2.0, np.abs(B) + t / 2.0
+    Z = np.zeros(ab.shape, dtype=np.complex128)
+    S, M = np.zeros(ab.shape), np.zeros(ab.shape)
+    for c, K in kloosterman_sums(C, a, b):
+        Z += K * c ** -2.0
+        S += K / c * D[c - 1, col]
+        M += (np.abs(K) + math.sqrt(c)) / c * mag[c - 1, col]
+    x = xs[col]
+    root = np.sqrt(np.maximum(1, np.minimum.outer(np.abs(a), np.abs(b))))
+    partial = root * _weil_zeta_tail(2.0, C)
+    eps = (C + 128) * 2.0**-53
+    rounding = eps * 2.0 / x * M
+    candidate = live[col] & (rounding < partial)
+    # c_1(k) up to the largest |a b| that may still take Rademacher's formula
+    c1 = j_q_series(int(-ab[candidate & (ab < 0)].min(initial=0)) + 1).coeffs[1:]
+    rhs = np.zeros(ab.shape)  # (2/x) rhs
+    for i, j in zip(*np.nonzero(candidate)):
+        m, n = abs(int(a[i])), abs(int(b[j]))
+        q = float(m == n) if ab[i, j] > 0 else _jm_coefficient(m, n, c1) * math.sqrt(n / m)
+        rhs[i, j] = q / (math.pi * x[i, j])
+    closed = (2.0 * x**2 / 15.0) * root * _weil_zeta_tail(4.0, C) + rounding + eps * np.abs(rhs)
+    take = candidate & (closed < partial)
+    return np.where(take, rhs - 2.0 / x * S, Z), np.where(take, closed, partial)
+
+
+def _jm_coefficient(m: int, n: int, c1) -> int:
+    """c_m(n), the q^n coefficient of j_m = q^-m + O(q), m, n >= 1, from the
+    coefficients c1[k] = c_1(k) of j_1 = j - 744 (k <= m n) by Hecke's
+    formula sum_(d | (m, n)) (m/d) c_1(m n / d^2), exactly."""
+    return sum(m // d * c1[m * n // (d * d)] for d in divisors(math.gcd(m, n)))
 
 
 def _weil_zeta_tail(exponent: float, C: int) -> float:

@@ -21,7 +21,7 @@ from .errors import AmbiguousNormalization
 from .latsum import omega_direct, s_series_direct
 from .modforms import delta_value, theorem3_rhs
 from .special import zeta_fn
-from .types import CheckReport, FourierAssemblyConfig, TruncationPolicy
+from .types import CheckReport, FourierAssemblyConfig, TruncationPolicy, upper_half
 
 DEFAULT_Z_GRID = (0.3 + 1.1j, 1j, -0.2 + 0.7j)
 DEFAULT_PAIRS = (
@@ -77,6 +77,7 @@ def check_dbar_z1(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = 
     differences (and by the Psi-residue bookkeeping) is t = +24, i.e.
     -6 / (Im z1)^2.
     """
+    z1, z2 = upper_half(z1, "z1"), upper_half(z2, "z2")
     cfg = cfg or _FD_CFG
     w2 = z2 - z2.conjugate()
 
@@ -103,6 +104,7 @@ def check_dbar_z2(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = 
                   step: float = 1e-3, tolerance: float = 1e-2) -> CheckReport:
     """d/d conj(z2) of (z2 - conj z2) Xi_1 vanishes (it equals -omega_2,
     a weight-2 cusp form); cross-reports the omega_2 estimate."""
+    z1, z2 = upper_half(z1, "z1"), upper_half(z2, "z2")
     cfg = cfg or _FD_CFG
 
     def F(z):

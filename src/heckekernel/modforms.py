@@ -1,9 +1,10 @@
 """q-expansion engine for E4, E6, Delta, j, and their z-derivatives.
 
-Series coefficients are built in exact rational arithmetic (Fraction) and
-converted to complex once per series (QSeries.complex_coeffs).  A point is
-reduced once, by the T/S algorithm, to the standard fundamental domain,
-which keeps |q| <= exp(-pi sqrt(3)) ~ 0.0043; the series are summed at the
+Series coefficients are built in exact integer arithmetic (Fraction only
+where E_k's normalisation is not integral, k = 12) and converted to
+complex once per series (QSeries.complex_coeffs).  A point is reduced
+once, by the T/S algorithm, to the standard fundamental domain, which
+keeps |q| <= exp(-pi sqrt(3)) ~ 0.0043; the series are summed at the
 reduced point and the weight covariance factor is reapplied afterwards.
 j, j' and Delta'/Delta share one reduction and one sum of E4^3, Delta and
 their derivatives, so theorem3_rhs reduces each of its two points once.
@@ -121,7 +122,8 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     factor = Fraction(-2 * k, 1) / _BERNOULLI_BY_WEIGHT[k]
-    coeffs = [Fraction(1)] + [factor * _sigma_int(n, k - 1) for n in range(1, order + 1)]
+    factor = int(factor) if factor.denominator == 1 else factor  # integer series stay int
+    coeffs = [1] + [factor * _sigma_int(n, k - 1) for n in range(1, order + 1)]
     return QSeries(tuple(coeffs), weight=k)
 
 
@@ -134,10 +136,10 @@ def delta_series(order: int = DEFAULT_ORDER) -> QSeries:
     num = (e4**3) - (e6**2)
     coeffs = []
     for n, c in enumerate(num.coeffs):
-        v = c / 1728
-        if v.denominator != 1:
-            raise ArithmeticError(f"tau({n}) came out non-integer: {v}")
-        coeffs.append(int(v))
+        v, rest = divmod(c, 1728)
+        if rest:
+            raise ArithmeticError(f"tau({n}) came out non-integer: {c}/1728")
+        coeffs.append(v)
     if coeffs[0] != 0 or coeffs[1] != 1:
         raise ArithmeticError("Delta normalization failed")
     return QSeries(tuple(coeffs), weight=12)

@@ -6,6 +6,8 @@ derivative factor Phi.
                remainder sum_{nu >= a} nu^(-s) with 10 corrections
     bessel_k   K_lam(x) = 1/2 int_0^inf exp(-(x/2)(t + 1/t)) t^(lam-1) dt,
                evaluated on the cosh substitution by a trapezoid rule
+    bessel_j1, J_1 and I_1 on arrays: the power series for t <= 1, above it
+    bessel_i1  the trapezoid rule on their integrals over [0, pi]
     phi_factor Phi_sgn(Y, n, lam) = e^(2 sgn Y) d^n/dY^n [e^(-2 sgn Y)
                Y^(-lam) K_lam(2Y)], expanded exactly via the recurrence
                d/dY [Y^(-mu) K_mu(2Y)] = -2 Y^(-mu) K_(mu+1)(2Y)
@@ -16,6 +18,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
+import numpy as np
 
 from .errors import PoleAt
 from .types import PhiArgs
@@ -165,6 +169,60 @@ def bessel_k(lam: float, x: float) -> float:
             break
         total += math.exp(e) * math.cosh(lam * u)
     return total * h
+
+
+def bessel_j1(t) -> np.ndarray:
+    """J_1(t) for an array of t >= 0 (_bessel_1)."""
+    return _bessel_1(t, -1)
+
+
+def bessel_i1(t) -> np.ndarray:
+    """I_1(t) for an array of t >= 0 (_bessel_1; inf where e^t overflows)."""
+    return _bessel_1(t, 1)
+
+
+_BESSEL_BLOCK = 2**15  # values x nodes per trapezoid block
+
+
+def _bessel_1(t, sign: int) -> np.ndarray:
+    """J_1(t) (sign = -1) or I_1(t) (sign = 1), elementwise.
+
+    For t <= 1, (t/2) sum_k (sign t^2/4)^k / (k! (k+1)!) to k = 11.  Above,
+    the trapezoid rule with M = 0.65 t + 24 intervals (the largest t of a
+    block) on the integrals over [0, pi] of
+
+        J_1(t) = 1/pi int cos(tau - t sin tau),
+        I_1(t) = e^t/pi int exp(-2 t sin^2(tau/2)) cos tau,
+
+    even and 2 pi-periodic integrands, so the rule converges geometrically
+    (its error is the aliased order J_(2M-1)(t)).  I_1's exponent is <= 0
+    and small where the integrand peaks, so it carries no rounding of t.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.empty_like(flat)
+    small = flat <= 1.0
+    u, acc = sign * (flat[small] / 2.0) ** 2, 0.0
+    for k in range(11, 0, -1):
+        acc = u / (k * (k + 1)) * (1.0 + acc)
+    out[small] = flat[small] / 2.0 * (1.0 + acc)
+    large = np.flatnonzero(~small)
+    large = large[np.argsort(flat[large])]
+    rows = _BESSEL_BLOCK // (int(0.65 * flat[large[-1]]) + 25) if len(large) else 1
+    for lo in range(0, len(large), rows):
+        idx = large[lo:lo + rows]
+        tt = flat[idx]
+        M = int(0.65 * tt[-1]) + 24
+        tau = np.arange(M + 1) * (math.pi / M)
+        w = np.full(M + 1, 1.0 / M)
+        w[[0, M]] = 0.5 / M
+        if sign < 0:
+            out[idx] = np.cos(tau - np.multiply.outer(tt, np.sin(tau))) @ w
+        else:
+            with np.errstate(over="ignore"):
+                peak = np.exp(np.multiply.outer(-2.0 * tt, np.sin(tau / 2.0) ** 2))
+                out[idx] = peak @ (w * np.cos(tau)) * np.exp(tt)
+    return out.reshape(t.shape)
 
 
 @functools.lru_cache(maxsize=256)

@@ -94,7 +94,10 @@ class FourierAssemblyConfig:
 
     R           max |r| and |r'| of the retained modes,
     C           c-cutoff of the Kloosterman-zeta sums (every mode pair
-                sums c = 1..C; the rest is bounded by the Weil tail),
+                sums c = 1..C; the rest is bounded by the Weil tail); at
+                the edge exponent 2 the sums run to C' = min(C, 4 ceil(4 pi R))
+                in the closed form of Petersson's and Rademacher's formulas,
+                with a tail falling like C'^(-5/2),
     corr_C      c-cutoff of the 1/c-shift correction series,
     corr_K      lattice window of the correction series,
     tol         requested tolerance (in (0, 1e-2], as TruncationPolicy.tol),

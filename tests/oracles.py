@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import mpmath
 import numpy as np
 
 from heckekernel.arith import kloosterman_matrix
 from heckekernel.continuation import (_kloosterman_zeta_cached, _modes, _weil_zeta_tail, a0_sum,
                                       ar_sum, arprime_sum, beta_mode)
 from heckekernel.latsum import limit_fit, psi_direct
+from heckekernel.modforms import j_q_series
 from heckekernel.special import bessel_k, gamma_fn, rgamma
 from heckekernel.types import TruncationPolicy
 
@@ -147,6 +149,61 @@ def kloosterman_zeta_per_c(rs: tuple, rps: tuple, exponent: float, C: int,
     a_min = np.minimum.outer(np.abs(r_arr), np.abs(rp_arr))
     tails = np.sqrt(np.maximum(1, a_min)) * _weil_zeta_tail(exponent, C)
     return Z, tails
+
+
+def _laurent_mul(a: dict, b: dict, top: int) -> dict:
+    """Product of two Laurent series {exponent: coefficient}, cut above q^top."""
+    out: dict = {}
+    for i, x in a.items():
+        for k, y in b.items():
+            if i + k <= top:
+                out[i + k] = out.get(i + k, 0) + x * y
+    return out
+
+
+def j_m_coefficients(m: int, N: int) -> list[int]:
+    """[c_m(1), ..., c_m(N)], the q^n coefficients of j_m = q^-m + O(q), as
+    the Faber polynomial of j_1 = j - 744: j_k = j_1^k minus the j_e (e < k)
+    that clear its poles q^-e and its constant term, in exact integers."""
+    top = N + m
+    j1 = {n - 1: c for n, c in enumerate(j_q_series(top + 1).coeffs) if n != 1}
+    js, power = [{0: 1}], {0: 1}
+    for k in range(1, m + 1):
+        power = _laurent_mul(power, j1, top)
+        jk = dict(power)
+        for e in range(k - 1, -1, -1):
+            lead = jk.get(-e, 0)
+            for exp, c in js[e].items():
+                jk[exp] = jk.get(exp, 0) - lead * c
+        js.append(jk)
+    return [js[m].get(n, 0) for n in range(1, N + 1)]
+
+
+def edge_zeta_reference(a: int, b: int, c0: int = 24, C2: int = 800) -> tuple[float, float]:
+    """(sum_c K(a, b; c)/c^2, bound) by Petersson's (a b > 0) or Rademacher's
+    (a b < 0) formula at 60 digits: (2/x) [rhs - sum_(c <= C2) K/c (B(x/c) - x/(2c))],
+    x = 4 pi sqrt|a b|, with K summed exactly at 60 digits for c <= c0 and
+    taken from arith.kloosterman_matrix above, c_m(n) from j_m_coefficients,
+    and the bound the tail (2 x^2/15) sqrt(max(1, min)) _weil_zeta_tail(4, C2)."""
+    m, n = abs(a), abs(b)
+    with mpmath.workdps(60):
+        x = 4 * mpmath.pi * mpmath.sqrt(m * n)
+        if a * b > 0:
+            bessel, rhs = mpmath.besselj, mpmath.mpf(m == n) / (2 * mpmath.pi)
+        else:
+            bessel = mpmath.besseli
+            rhs = j_m_coefficients(m, n)[-1] / (2 * mpmath.pi * mpmath.sqrt(mpmath.mpf(m) / n))
+        total = rhs
+        for c in range(1, C2 + 1):
+            if c <= c0:
+                K = mpmath.fsum(mpmath.cos(2 * mpmath.pi * ((a * u + b * pow(u, -1, c)) % c) / c)
+                                for u in range(1, c + 1) if math.gcd(u, c) == 1)
+            else:
+                K = mpmath.mpf(float(kloosterman_matrix(c, [a], [b])[0, 0].real))
+            total -= K / c * (bessel(1, x / c) - x / (2 * c))
+        value = float(2 / x * total)
+    tail = 2 * float(x) ** 2 / 15 * math.sqrt(max(1, min(m, n))) * _weil_zeta_tail(4.0, C2)
+    return value, tail
 
 
 def xi_tilde_per_use(z1: complex, z2: complex, n: int, s: float, cfg) -> tuple[complex, float]:

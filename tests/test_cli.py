@@ -157,9 +157,9 @@ PINNED_EVAL = {
     ),
     "xi-star": (
         ("xi-star", "--z1", "0.2+1.3i", "--z2", "-0.3+0.9i", "--cmax", "300", "--tol", "1e-3"),
-        'value    = -2.09907475476997 -0.203186190207893i\nerr est  = 1.139e-03\nmethod   = fourier\n',
-        '{"schema": "hecke-kernel/1", "value": {"re": -2.0990747547699717, '
-        '"im": -0.20318619020789264}, "err_estimate": 0.0011387754999003068, '
+        'value    = -2.09907487431909 -0.20318669588797i\nerr est  = 1.292e-04\nmethod   = fourier\n',
+        '{"schema": "hecke-kernel/1", "value": {"re": -2.0990748743190917, '
+        '"im": -0.20318669588797}, "err_estimate": 0.00012916040443917864, '
         '"method": "fourier", "policy": {"R": 8, "C": 300, "corr_C": 160, "corr_K": 48, '
         '"tol": 0.001, "pairing": "derived", "workers": 1}, "warnings": [], '
         '"timing_ms": null}\n',
@@ -503,6 +503,22 @@ class TestCheck:
     def test_evaluator_flags_rejected(self, capsys, tmp_path, flags):
         code, _, _ = run_cli(capsys, "check", "dirichlet", *with_config(tmp_path, flags))
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["dbar-z1", "dbar-z2"])
+    @pytest.mark.parametrize("flag", ["--z1", "--z2"])
+    def test_dbar_point_zero_is_a_usage_error(self, capsys, name, flag):
+        # 0 is parsed, reaches the checker and is refused; it used to be
+        # replaced by the default point, with exit 0
+        code, out, err = run_cli(capsys, "check", name, flag, "0", "--json")
+        assert (code, out) == (2, "")
+        assert f"{flag[2:]} must lie in the upper half-plane" in err
+
+    def test_dbar_default_points(self, capsys):
+        # without flags the check runs at the parser's default points
+        default = run_cli(capsys, "check", "dbar-z1", "--json")
+        explicit = run_cli(capsys, "check", "dbar-z1", "--z1", "0.1+1.2i", "--z2", "-0.3+0.9i", "--json")
+        assert default == explicit and default[0] == 0
+        assert json.loads(default[1])["points"] == ["((0.1+1.2j), (-0.3+0.9j))"]
 
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(capsys, "check", "weil")

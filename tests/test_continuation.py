@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from heckekernel import continuation, special
+from heckekernel import arith, continuation, special
 from heckekernel.arith import divisor_sigma, kloosterman_matrix, totient_sieve
 from heckekernel.continuation import (
     _kloosterman_zeta_cached,
@@ -25,11 +25,12 @@ from heckekernel.continuation import (
 )
 from heckekernel.errors import PoleAt
 from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
+from heckekernel.modforms import theorem3_rhs
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
 from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
 
-from oracles import (alpha_moment_sum, c_prefactor, kloosterman_zeta, kloosterman_zeta_per_c,
-                     phi_factor_fd, xi_tilde_per_use)
+from oracles import (alpha_moment_sum, c_prefactor, edge_zeta_reference, j_m_coefficients,
+                     kloosterman_zeta, kloosterman_zeta_per_c, phi_factor_fd, xi_tilde_per_use)
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -277,46 +278,126 @@ class TestKloostermanZeta:
     @pytest.mark.parametrize("pairing", ["derived", "printed"])
     @pytest.mark.parametrize("exponent", [2.0, 3.0])
     def test_matches_per_c_reference(self, exponent, pairing):
-        # the prime-power rows against one direct kloosterman_matrix per c
+        # the prime-power rows against one direct kloosterman_matrix per c;
+        # at exponent 2 the table is no longer the partial sum, so there
+        # each entry lies within its bound plus the partial sum's Weil tail
         rs = tuple(_modes(8))
         Z, T = _kloosterman_zeta_cached(rs, rs, exponent, 1000, pairing)
         ref, ref_tails = kloosterman_zeta_per_c(rs, rs, exponent, 1000, pairing)
+        if exponent == 2.0:
+            assert np.all(np.abs(np.array(Z) - ref) <= np.array(T) + ref_tails)
+            return
         np.testing.assert_allclose(np.array(Z), ref, rtol=1e-13, atol=0)
         assert np.array_equal(np.array(T), ref_tails)
 
     def test_cold_build_peak_memory(self):
         # a cold R = 8, C = 4000 build stays under the 2.56 MiB that one
-        # direct 16 x phi(c) x 16 product per c needs at c near C
+        # direct 16 x phi(c) x 16 product per c needs at c near C; at the
+        # edge exponent 2 its Bessel tables and blocked trapezoid rule too
         import tracemalloc
 
         rs = tuple(_modes(8))
-        misses = _kloosterman_zeta_cached.cache_info().misses
-        tracemalloc.start()
-        try:
-            _kloosterman_zeta_cached(rs, rs, 3.0625, 4000, "derived")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert _kloosterman_zeta_cached.cache_info().misses == misses + 1
-        assert peak <= 2.5 * 2**20
+        for exponent in (3.0625, 2.0):
+            _kloosterman_zeta_cached.cache_clear()
+            tracemalloc.start()
+            try:
+                _kloosterman_zeta_cached(rs, rs, exponent, 4000, "derived")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert _kloosterman_zeta_cached.cache_info().misses == 1
+            assert peak <= 2.5 * 2**20
 
     @pytest.mark.parametrize("s", [1.0, 1.4])
     def test_cold_build_bits_pinned(self, s):
         # the R = 8, C = 4000 matrix at the exponent xi_tilde_fourier passes
         # at n = 1, built afresh, pinned to the bytes of the build from
-        # modpow unit tables
+        # modpow unit tables (s = 1.4) and of the edge closed form (s = 1)
         import hashlib
 
         rs = tuple(_modes(8))
         Z, _ = _kloosterman_zeta_cached.__wrapped__(rs, rs, 4.0 * s - 2.0, 4000, "derived")
         assert hashlib.sha256(np.array(Z).tobytes()).hexdigest() == {
-            1.0: "fab91b41717e1d39e4979881e0136985543e13ddd1a2875cbda6b8fdb0c0d34d",
+            1.0: "a10fef2bb2846950b1b09ce229801b2792fd05af394c342fbc126ac3d97a78ee",
             1.4: "1d92cd6094fff9fa76824c4a437f71d95f4d4409a732d14686fb6a8acb646510"}[s]
 
     def test_tail_estimate_consistency(self):
         v1, t1 = kloosterman_zeta(1, 1, 2.0, C=2000)
         v2, _ = kloosterman_zeta(1, 1, 2.0, C=4000)
         assert abs(v1 - v2) <= t1
+
+
+class TestEdgeZeta:
+    """The exponent-2 table from Petersson's and Rademacher's formulas."""
+
+    RS = tuple(_modes(8))
+
+    def test_jm_coefficients_match_faber_polynomials(self):
+        # Hecke's formula from the coefficients of j - 744 against the
+        # q-expansion of the Faber polynomial j_m of j - 744, m <= 4
+        c1 = continuation.j_q_series(70).coeffs[1:]
+        for m in range(1, 5):
+            faber = j_m_coefficients(m, 16)
+            assert [continuation._jm_coefficient(m, n, c1) for n in range(1, 17)] == faber
+
+    @pytest.mark.parametrize("r,rp,form", [
+        (1, -1, "P"), (3, -3, "P"), (-3, 7, "P"), (2, -5, "P"),
+        (1, 1, "R"), (2, 2, "R"), (1, 5, "R"), (8, 8, "partial")])
+    def test_entries_against_60_digit_reference(self, r, rp, form):
+        # r r' < 0 takes Petersson's formula, r r' > 0 Rademacher's; the
+        # (8, 8) Rademacher entry cancels by about 1e26 and keeps the
+        # partial sum to C' = 404, with its Weil tail as the bound
+        Z, T = _kloosterman_zeta_cached(self.RS, self.RS, 2.0, 3000, "derived")
+        i, j = self.RS.index(r), self.RS.index(rp)
+        ref, ref_tail = edge_zeta_reference(r, -rp)
+        assert abs(Z[i][j] - ref) <= T[i][j] + ref_tail
+        weil = math.sqrt(max(1, min(abs(r), abs(rp)))) * continuation._weil_zeta_tail(2.0, 404)
+        assert (T[i][j] == weil) == (form == "partial")
+        assert T[i][j] < {"P": 1e-3, "R": 0.1, "partial": math.inf}[form]
+
+    def test_entries_past_C_keep_the_partial_sum(self):
+        # x = 4 pi sqrt|r r'| > C' leaves no rigorous closed-form tail: at
+        # C = 16 only the |r r'| = 1 entries (x = 12.6) take a formula, the
+        # others (x = 17.8 and 25.1) keep the partial sum and its Weil tail
+        rs = (1, -1, 2, -2)
+        Z, T = _kloosterman_zeta_cached(rs, rs, 2.0, 16, "derived")
+        ref, ref_tails = kloosterman_zeta_per_c(rs, rs, 2.0, 16)
+        for i, r in enumerate(rs):
+            for j, rp in enumerate(rs):
+                if abs(r * rp) == 1:
+                    assert T[i][j] < ref_tails[i, j] / 10
+                else:
+                    assert T[i][j] == ref_tails[i, j] and abs(Z[i][j] - ref[i, j]) < 1e-13
+
+    def test_build_asks_for_at_most_C_prime_rows(self, monkeypatch):
+        # C' = min(C, 4 ceil(4 pi R)) = 404 rows at R = 8, whatever C is
+        rows = []
+
+        def counted(C, a, b):
+            for c, K in arith.kloosterman_sums(C, a, b):
+                rows[-1] += 1
+                yield c, K
+
+        monkeypatch.setattr(continuation, "kloosterman_sums", counted)
+        for C in (4000, 300):
+            rows.append(0)
+            _kloosterman_zeta_cached.__wrapped__(self.RS, self.RS, 2.0, C, "derived")
+        assert rows == [404, 300]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("pairing", ["derived", "printed"])
+    def test_whole_table_against_C_16000(self, pairing):
+        # every entry within its bound of the C = 16 000 partial sum plus
+        # that sum's Weil tail
+        a = np.array(self.RS)
+        b = a * (-1 if pairing == "derived" else 1)
+        partial = np.zeros((len(a), len(b)))
+        for c, K in arith.kloosterman_sums(16_000, a, b):
+            partial += K * c ** -2.0
+        weil = np.sqrt(np.maximum(1, np.minimum.outer(np.abs(a), np.abs(b))))
+        weil = weil * continuation._weil_zeta_tail(2.0, 16_000)
+        Z, T = _kloosterman_zeta_cached(self.RS, self.RS, 2.0, 16_000, pairing)
+        assert np.all(np.abs(np.array(Z) - partial) <= np.array(T) + weil)
 
 
 class TestXiFourier:
@@ -339,6 +420,19 @@ class TestXiFourier:
         bad_cfg = FourierAssemblyConfig(R=6, C=600, corr_C=60, corr_K=32, tol=1e-2, pairing="printed")
         f = xi_fourier(Z1, Z2, 1, 1.5, bad_cfg, DIRECT_POL)
         assert abs(d.value - f.value) / abs(d.value) > 1e-5
+
+    def test_printed_pairing_misses_theorem3_at_the_edge(self):
+        # at s = n = 1 the printed pairing swaps which entries take
+        # Petersson's and which Rademacher's formula; it misses the Theorem 3
+        # value by more than twice its own estimate, the derived pairing is
+        # within its estimate
+        ref = (theorem3_rhs(Z1, Z2) + 24 / (Z1 - Z1.conjugate())) / (Z2 - Z2.conjugate())
+        pol = TruncationPolicy(B=100_000, tol=1e-2)
+        for pairing, within in (("derived", True), ("printed", False)):
+            cfg = FourierAssemblyConfig(R=8, C=3000, corr_C=160, corr_K=48, tol=1e-2, pairing=pairing)
+            r = xi_fourier(Z1, Z2, 1, 1.0, cfg, pol)
+            miss = abs(r.value - ref)
+            assert (miss <= r.err_estimate) if within else (miss > 2 * r.err_estimate)
 
     def test_exact_translation_invariance(self):
         f1 = xi_fourier(Z1, Z2, 1, 1.5, FAST_CFG, DIRECT_POL).value
@@ -396,13 +490,13 @@ class TestFourierGoldenBits:
 
     def test_xi_fourier_at_the_boundary(self):
         r = xi_fourier(Z1, Z2, 1, 1.0, BOUNDARY_CFG, TruncationPolicy(B=100_000, tol=1e-2))
-        assert r.value == -4.129446780390383 + 1.7116030637905912j
-        assert r.err_estimate == 0.0005245632633882536
+        assert r.value == -4.129446779148884 + 1.7116030585438229j
+        assert r.err_estimate == 0.0001048148142291354
 
     def test_xi_tilde_fourier_at_the_boundary(self):
         value, err = xi_tilde_fourier(Z1, Z2, 1, 1.0, BOUNDARY_CFG)
-        assert value == -2.813740976794963 - 0.025939771240955235j
-        assert err == 0.00020988425634221728
+        assert value == -2.8137409761742136 - 0.025939773864339346j
+        assert err == 1.0031762658190403e-08
 
     @pytest.mark.parametrize("n,value,estimate", [
         (0, 12.070719950323268 + 1.758607048773915e-19j, 2.558332161913875e-10),
@@ -457,7 +551,7 @@ class TestOncePerCall:
         value, err = xi_tilde_fourier(Z1, Z2, n, s, cfg)
         assert len(bessel_args) == len(set(bessel_args)) == pairs
         assert (value, err) == {
-            1: (-2.8137409803169473 - 0.025939760652603207j, 0.00040126591014882495),
+            1: (-2.8137409761742136 - 0.025939773864339346j, 1.0031762658190403e-08),
             0: (1.081439006303001 + 1.8633354467083232e-19j, 2.066489525770524e-14)}[n]
         assert len(zeta_args) == len(set(zeta_args))
 

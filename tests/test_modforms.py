@@ -136,6 +136,14 @@ class TestSeriesConstruction:
         num = (e4**3) - (e6**2)
         assert num.coeffs[0] == 0  # exact rational arithmetic
 
+    def test_integer_series_stay_integer(self):
+        # E4, E6, Delta and j in int arithmetic; E12's normalisation
+        # 65520/691 keeps Fractions
+        j = j_q_series(66)
+        assert all(type(c) is int for c in j.coeffs)
+        assert j.coeffs[2:5] == (196884, 21493760, 864299970)
+        assert any(type(c) is not int for c in eisenstein(12, 3).coeffs)
+
     def test_j_series(self):
         j = j_q_series(2)
         assert j.offset == -1

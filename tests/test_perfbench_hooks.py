@@ -82,17 +82,23 @@ def test_traced_terms_count_each_point_once(tracing):
 
 def test_traced_zeta_build_has_no_per_c_span(tracing):
     # a traced cold build at the CLI's C = 4000 calls no traced attribute
-    # once per c: one kloosterman_zeta span, no unit_inverse_table span
+    # once per c or per entry: one kloosterman_zeta span, no
+    # unit_inverse_table span, and one weil_tail span with its zeta_fn (two
+    # at the edge exponent 2: the partial sum's and the closed form's)
     rs = tuple(continuation._modes(8))
-    rec = tracing.Recorder()
-    with rec.installed():
-        rec.op = 0
-        continuation._kloosterman_zeta_cached(rs, rs, 3.125, 4000, "derived")
-    names = [sp[tracing.NAME] for sp in rec.spans]
-    assert names.count("continuation.kloosterman_zeta") == 1
-    assert rec.spans[names.index("continuation.kloosterman_zeta")][tracing.MISS]
-    assert "arith.unit_inverse_table" not in names
-    assert len(names) == len(set(names))
+    for exponent, weil_tails in ((3.125, 1), (2.0, 2)):
+        continuation._kloosterman_zeta_cached.cache_clear()
+        rec = tracing.Recorder()
+        with rec.installed():
+            rec.op = 0
+            continuation._kloosterman_zeta_cached(rs, rs, exponent, 4000, "derived")
+        names = [sp[tracing.NAME] for sp in rec.spans]
+        assert names.count("continuation.kloosterman_zeta") == 1
+        assert rec.spans[names.index("continuation.kloosterman_zeta")][tracing.MISS]
+        assert "arith.unit_inverse_table" not in names
+        assert collections.Counter(names) == {"continuation.kloosterman_zeta": 1,
+                                              "continuation.weil_tail": weil_tails,
+                                              "special.zeta_fn": weil_tails}
 
 
 def _span_counts(tracing, root_name, call):

@@ -2,10 +2,13 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from heckekernel.errors import PoleAt
 from heckekernel.special import (
+    bessel_i1,
+    bessel_j1,
     bessel_k,
     gamma_fn,
     phi_factor,
@@ -137,6 +140,35 @@ class TestBesselK:
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
             bessel_k(0.5, 0.0)
+
+
+class TestBesselOrderOne:
+    # t up to 110 covers every x / c = 4 pi sqrt|r r'| / c the edge
+    # Kloosterman zeta evaluates at R = 8; the 400 values above 1 span two
+    # trapezoid blocks
+    T = np.concatenate([np.linspace(0.02, 1.0, 50), np.linspace(1.0 + 1e-9, 110.0, 400)])
+
+    def test_j1_against_mpmath(self):
+        # absolute below t = 1; above, relative to the envelope
+        # max(|J_1|, sqrt(2/(pi t))), since J_1 has zeros, plus 2 u t for the
+        # rounding of the phase t sin(tau), which moves J_1 as a relative
+        # change u of t does
+        ref = np.array([float(mp.besselj(1, t)) for t in self.T])
+        scale = np.where(self.T > 1, np.maximum(np.abs(ref), np.sqrt(2 / (np.pi * self.T))), 1.0)
+        tol = 1e-14 + np.where(self.T > 1, 2 * 2.0**-53 * self.T, 0.0)
+        assert np.all(np.abs(bessel_j1(self.T) - ref) <= tol * scale)
+
+    def test_i1_against_mpmath(self):
+        ref = np.array([float(mp.besseli(1, t)) for t in self.T])
+        scale = np.where(self.T > 1, ref, 1.0)
+        assert np.all(np.abs(bessel_i1(self.T) - ref) <= 1e-14 * scale)
+
+    def test_shape_and_origin(self):
+        t = np.array([[0.0, 0.5], [3.0, 40.0]])
+        for fn in (bessel_j1, bessel_i1):
+            out = fn(t)
+            assert out.shape == t.shape and out[0, 0] == 0.0
+            assert np.array_equal(out.ravel(), fn(t.ravel()))
 
 
 class TestPhiFactor:
