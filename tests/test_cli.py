@@ -183,6 +183,52 @@ PINNED_EVAL = {
 }
 
 
+# the document each identity check prints with --json, byte for byte (every
+# one exits 0), and the text of dbar-z1, which prints its tolerance
+PINNED_CHECK = {
+    "lemma1": (
+        '{"schema": "hecke-kernel/1", "name": "lemma1", "points": ["((0.3+1.1j), 0, 1.6)", '
+        '"((0.3+1.1j), 0, 2.0)", "((0.3+1.1j), 2, 2.0)", "(1j, 0, 1.6)", "(1j, 0, 2.0)", '
+        '"(1j, 2, 2.0)", "((-0.2+0.7j), 0, 1.6)", "((-0.2+0.7j), 0, 2.0)", '
+        '"((-0.2+0.7j), 2, 2.0)"], "residuals": [5.819357288960678e-16, '
+        '3.7814600338667056e-16, 3.425664098058233e-15, 0.0, 2.752038041001346e-16, '
+        '8.3869616088464785e-16, 2.097239395500968e-16, 2.869844049206298e-30, '
+        '1.095782123374425e-15], "tolerance": 1e-07, "pass": true, '
+        '"details": "grid of 9 sites, R=20"}\n'
+    ),
+    "weil": (
+        '{"schema": "hecke-kernel/1", "name": "weil", "points": ["c<= 200, a,b <= 20"], '
+        '"residuals": [0.0], "tolerance": 1e-09, "pass": true, "details": "worst excess '
+        '0.000e+00 at (1, 1, 1); 400 equality cases (first: [(1, 1, 1), (1, 2, 1), (1, 3, 1)])"}\n'
+    ),
+    "theorem3": (
+        '{"schema": "hecke-kernel/1", "name": "theorem3", "points": ["((0.1+1.2j), (-0.3+0.9j))", '
+        '"((0.2+1.3j), (-0.45+1.05j))", "((-0.15+0.95j), (0.3+1.15j))", '
+        '"((0.05+1.1j), (0.4+1.25j))", "((-0.35+1.15j), (0.15+0.85j))", '
+        '"((-0.25+0.9j), (-0.3+0.9j))"], "residuals": [3.179984739882208e-06, '
+        '2.694402655214193e-06, 7.2623194220181556e-06, 2.379133516373056e-06, '
+        '1.2350651444619197e-06, 1.3500669911431083e-06], "tolerance": 0.001, "pass": true, '
+        '"details": "unique passing normalization: t=24, rhs x2; rejected: [t=12, rhs x1] '
+        '2.7e+00, [t=12, rhs x2] 1.6e+00, [t=12, rhs x2, extra (z2-z2bar)] 3.8e+00, '
+        '[t=24, rhs x1] 1.0e+00, [t=24, rhs x2, extra (z2-z2bar)] 2.7e+00"}\n'
+    ),
+    "dbar-z1": (
+        '{"schema": "hecke-kernel/1", "name": "dbar_z1", "points": ["((0.1+1.2j), (-0.3+0.9j))"], '
+        '"residuals": [6.231039155279712e-05], "tolerance": 0.01, "pass": true, '
+        '"details": "step-halving residuals 6.23e-05 / 1.54e-05; best candidate coefficient '
+        '+24 (printed form uses -12)"}\n'
+    ),
+    "dbar-z2": (
+        '{"schema": "hecke-kernel/1", "name": "dbar_z2", "points": ["((0.1+1.2j), (-0.3+0.9j))"], '
+        '"residuals": [0.0003442221910963032], "tolerance": 0.01, "pass": true, '
+        '"details": "|dbar| = 3.44e-04 (half-step 3.91e-05); |omega2| = 6.50e-04 +/- 2.1e-03"}\n'
+    ),
+}
+DBAR_Z1_TEXT = ("PASS dbar_z1: max residual 6.231e-05 (tolerance 1.0e-02)\n"
+                "step-halving residuals 6.23e-05 / 1.54e-05; best candidate coefficient +24 "
+                "(printed form uses -12)\n")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -240,6 +286,13 @@ class TestPinnedStdout:
         timed = json.loads(out)
         assert code == 0 and isinstance(timed["timing_ms"], float) and timed["timing_ms"] >= 0
         assert out.replace(f'"timing_ms": {timed["timing_ms"]!r}', '"timing_ms": null') == doc
+
+    @pytest.mark.parametrize("name", PINNED_CHECK)
+    def test_check_stdout_bytes(self, capsys, name):
+        assert run_cli(capsys, "check", name, "--json") == (0, PINNED_CHECK[name], "")
+
+    def test_check_text_bytes(self, capsys):
+        assert run_cli(capsys, "check", "dbar-z1") == (0, DBAR_Z1_TEXT, "")
 
 
 class TestEval:
