@@ -16,7 +16,6 @@ from .types import (
     CheckReport,
     EvalResult,
     FourierAssemblyConfig,
-    PhiArgs,
     TruncationPolicy,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "HeckeKernelError",
     "NearDiagonal",
     "NotConverged",
-    "PhiArgs",
     "PoleAt",
     "TailTooLarge",
     "TruncationPolicy",

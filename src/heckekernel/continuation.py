@@ -60,8 +60,8 @@ from .special import (bessel_i1, bessel_j1, gamma_fn, hurwitz_tail, phi_factor, 
                       zeta_near_one)
 from .latsum import (convergence_warnings, limit_fit, omega_n_direct, xi0_direct, xi_direct,
                      xic_offset_diffs)
-from .types import (EvalResult, FourierAssemblyConfig, PhiArgs, TruncationPolicy, accept,
-                    nonzero_imag, upper_half)
+from .types import (EvalResult, FourierAssemblyConfig, TruncationPolicy, accept, nonzero_imag,
+                    upper_half)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -84,23 +84,19 @@ def _alpha_head(m: int, sigma: float, k: int) -> complex:
     return (-1j) ** m * _SQRT_PI * gamma_fn(sigma - m // 2 - 0.5) * rgamma(sigma) * lin
 
 
-def beta_mode(m: int, r: int, sigma: float, y: float) -> complex:
-    """r-th Fourier coefficient of S_m(z, 0, sigma) at height y (r != 0): beta_modes at one r."""
-    return beta_modes(m, (r,), sigma, y, {})[0]
-
-
 def beta_modes(m: int, rs, sigma: float, y: float, kvals: dict) -> list[complex]:
-    """beta_mode(m, r, sigma, y) for each r of rs, bit for bit, with the
-    r-independent prefactor taken once and each Bessel value once across
-    the Phi values that share kvals (special.phi_factor)."""
+    """The r-th Fourier coefficient beta_m(r, sigma, y) of S_m(z, 0, sigma) at
+    height y for each r != 0 of rs, with the r-independent prefactor taken
+    once and each Bessel value once across the Phi values that share kvals
+    (special.phi_factor)."""
     if 0 in rs:
-        raise ValueError("beta_mode needs r != 0")
+        raise ValueError("beta_modes needs r != 0")
     # the i^m prefactor is sign-independent: the sgn = -1 reduction to the
     # Phi form picks up (-1)^m, cancelling the (-i)^m from u -> -u
     head = 1j**m * _SQRT_PI * 2.0 ** (1 - m) * rgamma(sigma)
     return [head * (math.pi * abs(r)) ** (2.0 * sigma - m - 1.0)
-            * phi_factor(PhiArgs(sign=1 if r > 0 else -1, Y=math.pi * abs(r) * y, n=m,
-                                 lam=sigma - m - 0.5), kvals) for r in rs]
+            * phi_factor(1 if r > 0 else -1, math.pi * abs(r) * y, m, sigma - m - 0.5, kvals)
+            for r in rs]
 
 
 def s_series_fourier(z: complex, n: int, s: float, R: int = 20) -> EvalResult:
@@ -268,31 +264,6 @@ def a0_sum(n: int, s: float, z1: complex, z2: complex, zeta_2n: complex | None =
     return lead * alpha_const(0, 2.0 * s - n) * (y1 * y2) ** (1.0 + 2 * n - 4.0 * s)
 
 
-def _single_heads(n: int, s: float, y1: float, y2: float) -> tuple[float, complex, complex]:
-    """1 + 2n - 4s and the r-independent heads alpha_2n(2s) y1^(1+2n-4s) of the
-    z2 modes and alpha_0(2s-n) y2^(1+2n-4s) of the z1 modes."""
-    expo = 1.0 + 2 * n - 4.0 * s
-    return expo, alpha_const(2 * n, 2.0 * s) * y1**expo, alpha_const(0, 2.0 * s - n) * y2**expo
-
-
-def ar_sum(r: int, n: int, s: float, z1: complex, z2: complex) -> complex:
-    """Coefficient of e(r Re z2) (modes of the z2 power sum only)."""
-    y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    expo, head, _ = _single_heads(n, s, y1, y2)
-    # the Ramanujan Dirichlet series in place of the totient one: no pole
-    # cancels the zero of alpha_2n(2s), so these modes die at the edge
-    return (head * beta_mode(0, r, 2.0 * s - n, y2) * divisor_sigma(expo, abs(r))
-            / zeta_fn(4.0 * s - 2.0 * n))
-
-
-def arprime_sum(rp: int, n: int, s: float, z1: complex, z2: complex) -> complex:
-    """Coefficient of e(r' Re z1) (modes of the z1 power sum only)."""
-    y1, y2 = upper_half(z1, "z1").imag, upper_half(z2, "z2").imag
-    expo, _, head = _single_heads(n, s, y1, y2)
-    return (head * beta_mode(2 * n, rp, 2.0 * s, y1) * divisor_sigma(expo, abs(rp))
-            / zeta_fn(4.0 * s - 2.0 * n))
-
-
 # ---------------------------------------------------------------------------
 # Correction for the removed 1/c offset
 
@@ -337,10 +308,11 @@ def xi_tilde_fourier(z1: complex, z2: complex, n: int, s: float,
     """Closed-form Fourier sum of the shifted c > 0 series (one copy).
 
     Each factor is computed once per call: beta_0(r, 2s-n, y2) and
-    beta_2n(r', 2s, y1) serve the single (ar_sum, arprime_sum) and double
-    modes, each Bessel value K_order(x) is evaluated once for both, and so
-    are zeta(4s-2n) and sigma_(1+2n-4s)(|r|).  At the edge s = (n + 1)/2,
-    n >= 1, alpha_2n(2s) = 0 and the z2 single modes are exactly 0: skipped.
+    beta_2n(r', 2s, y1) serve the single and double modes, each Bessel value
+    K_order(x) is evaluated once for both, and so are zeta(4s-2n), the heads
+    alpha_2n(2s) y1^(1+2n-4s), alpha_0(2s-n) y2^(1+2n-4s) and sigma_(1+2n-4s)(|r|).
+    At the edge s = (n + 1)/2, n >= 1, alpha_2n(2s) = 0 and the z2 single
+    modes are exactly 0: skipped.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
@@ -349,7 +321,9 @@ def xi_tilde_fourier(z1: complex, z2: complex, n: int, s: float,
     rs = _modes(R)
     zeta_2n = zeta_fn(4.0 * s - 2.0 * n)
     total, err = a0_sum(n, s, z1, z2, zeta_2n), 0.0
-    expo, head_r, head_rp = _single_heads(n, s, y1, y2)
+    expo = 1.0 + 2 * n - 4.0 * s
+    head_r = alpha_const(2 * n, 2.0 * s) * y1**expo
+    head_rp = alpha_const(0, 2.0 * s - n) * y2**expo
     sigmas = [None] + [divisor_sigma(expo, r) for r in range(1, R + 2)]
     kvals: dict = {}
     b0s = beta_modes(0, rs + ([R + 1] if head_r else []), 2.0 * s - n, y2, kvals)

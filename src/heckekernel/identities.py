@@ -34,10 +34,9 @@ DEFAULT_PAIRS = (
 
 
 def check_lemma1(points=DEFAULT_Z_GRID, n_list=(0, 2), s_list=(1.6, 2.0),
-                 tolerance: float = 1e-7, R: int = 20,
-                 policy: TruncationPolicy | None = None) -> CheckReport:
+                 tolerance: float = 1e-7, R: int = 20) -> CheckReport:
     """Power-sum Fourier expansion against direct summation."""
-    policy = policy or TruncationPolicy(B=100_000, tol=1e-2)
+    policy = TruncationPolicy(B=100_000, tol=1e-2)
     report = CheckReport(name="lemma1", tolerance=tolerance)
     for z in points:
         r_eff = R if z.imag >= 0.5 else max(R, 40)
@@ -57,20 +56,24 @@ def check_lemma1(points=DEFAULT_Z_GRID, n_list=(0, 2), s_list=(1.6, 2.0),
 _DBAR_CANDIDATES = (-12.0, 12.0, 24.0, -24.0)
 
 
-def _dbar_fd(fun, z, step):
-    fx = (fun(z + step) - fun(z - step)) / (2.0 * step)
-    fy = (fun(z + 1j * step) - fun(z - 1j * step)) / (2.0 * step)
-    return 0.5 * (fx + 1j * fy)
-
-
 # the finite-difference checks compare O(1) derivative targets at 1e-2
 # relative; assembly truncation errors are smooth in z and cancel in the
 # symmetric differences, so a light configuration suffices
 _FD_CFG = FourierAssemblyConfig(R=6, C=1000, corr_C=80, corr_K=40, tol=1e-2)
+_FD_TOLERANCE = 1e-2
 
 
-def check_dbar_z1(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = None,
-                  step: float = 1e-3, tolerance: float = 1e-2) -> CheckReport:
+def _dbar_fd(fun, z) -> list[complex]:
+    """d/d conj(z) of fun at z by central differences, at step 1e-3 and at half of it."""
+    out = []
+    for step in (1e-3, 1e-3 / 2.0):
+        fx = (fun(z + step) - fun(z - step)) / (2.0 * step)
+        fy = (fun(z + 1j * step) - fun(z - 1j * step)) / (2.0 * step)
+        out.append(0.5 * (fx + 1j * fy))
+    return out
+
+
+def check_dbar_z1(z1: complex, z2: complex) -> CheckReport:
     """d/d conj(z1) of (z2 - conj z2) Xi_1(z1, z2) against t/(z1 - conj z1)^2.
 
     The candidate scan resolves t; the value validated by the finite
@@ -78,15 +81,13 @@ def check_dbar_z1(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = 
     -6 / (Im z1)^2.
     """
     z1, z2 = upper_half(z1, "z1"), upper_half(z2, "z2")
-    cfg = cfg or _FD_CFG
     w2 = z2 - z2.conjugate()
 
     def F(z):
-        return xi_fourier(z, z2, 1, 1.0, cfg).value * w2
+        return xi_fourier(z, z2, 1, 1.0, _FD_CFG).value * w2
 
-    report = CheckReport(name="dbar_z1", tolerance=tolerance)
-    dbar = _dbar_fd(F, z1, step)
-    dbar_half = _dbar_fd(F, z1, step / 2.0)
+    report = CheckReport(name="dbar_z1", tolerance=_FD_TOLERANCE)
+    dbar, dbar_half = _dbar_fd(F, z1)
     target = 24.0 / (z1 - z1.conjugate()) ** 2
     rel = abs(dbar - target) / abs(target)
     rel_half = abs(dbar_half - target) / abs(target)
@@ -100,19 +101,16 @@ def check_dbar_z1(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = 
     return report
 
 
-def check_dbar_z2(z1: complex, z2: complex, cfg: FourierAssemblyConfig | None = None,
-                  step: float = 1e-3, tolerance: float = 1e-2) -> CheckReport:
+def check_dbar_z2(z1: complex, z2: complex) -> CheckReport:
     """d/d conj(z2) of (z2 - conj z2) Xi_1 vanishes (it equals -omega_2,
     a weight-2 cusp form); cross-reports the omega_2 estimate."""
     z1, z2 = upper_half(z1, "z1"), upper_half(z2, "z2")
-    cfg = cfg or _FD_CFG
 
     def F(z):
-        return xi_fourier(z1, z, 1, 1.0, cfg).value * (z - z.conjugate())
+        return xi_fourier(z1, z, 1, 1.0, _FD_CFG).value * (z - z.conjugate())
 
-    report = CheckReport(name="dbar_z2", tolerance=tolerance)
-    dbar = _dbar_fd(F, z2, step)
-    dbar_half = _dbar_fd(F, z2, step / 2.0)
+    report = CheckReport(name="dbar_z2", tolerance=_FD_TOLERANCE)
+    dbar, dbar_half = _dbar_fd(F, z2)
     om = omega2(z1, z2)
     report.points.append((z1, z2))
     report.residuals.append(max(abs(dbar), abs(dbar_half)))
@@ -184,9 +182,9 @@ def check_theorem3(point_pairs=DEFAULT_PAIRS, near_diagonal: bool = True,
     return report
 
 
-def check_weil(c_max: int = 200, ab_max: int = 20, tolerance: float = 1e-9) -> CheckReport:
+def check_weil(c_max: int = 200, ab_max: int = 20) -> CheckReport:
     """Exhaustive |K(a, b; c)| <= Weil bound over the (a, b, c) grid."""
-    report = CheckReport(name="weil", tolerance=tolerance)
+    report = CheckReport(name="weil", tolerance=1e-9)
     worst = -math.inf
     worst_site = None
     equalities = []
@@ -291,8 +289,7 @@ def check_omega_proportionality(point_pairs=DEFAULT_PAIRS[:4], H: int = 400,
     return report
 
 
-def check_petersson(z2_list=(0.1 + 1.1j, -0.2 + 0.9j, 0.3 + 1.3j),
-                    tolerance: float = 1e-10) -> CheckReport:
+def check_petersson(z2_list=(0.1 + 1.1j, -0.2 + 0.9j, 0.3 + 1.3j)) -> CheckReport:
     """Zagier's theorem at weight 12, det 1 with its constant:
     <Delta, omega_1(., conj z2; 12)> = C_12 Delta(z2), C_12 = pi / (2^9 11).
 
@@ -302,7 +299,7 @@ def check_petersson(z2_list=(0.1 + 1.1j, -0.2 + 0.9j, 0.3 + 1.3j),
     """
     z, w, delta = _fundamental_domain_rule()
     policy = TruncationPolicy(H=_PETERSSON_H, tol=1e-2)
-    report = CheckReport(name="petersson", tolerance=tolerance)
+    report = CheckReport(name="petersson", tolerance=1e-10)
     for z2 in z2_list:
         omega = np.array([omega_direct(complex(p), z2, 12, 1, policy).value for p in z])
         integral = complex(np.sum(w * delta * np.conj(omega)))

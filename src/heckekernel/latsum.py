@@ -504,27 +504,27 @@ def xi0_direct(z1: complex, z2: complex, n: int, s: float,
 
 def xic_direct(z1: complex, z2: complex, n: int, s: float,
                policy: TruncationPolicy | None = None, shifted: bool = False) -> EvalResult:
-    """The c > 0 part of Xi_n, one c at a time for c = 1..C (s > (n + 1)/2).
+    """The c > 0 part of Xi_n, one c at a time for c = 1..min(C, H), s > (n + 1)/2.
 
     Unshifted sums the true terms over the height ball with xi_direct's
     chunk kernel, halved (xi_direct pairs c with -c), so xi0 + 2 xic
-    reproduces xi_direct at matched cutoffs; C is capped at H and scales with
-    it in the error, _ball_spread of the sums in H (decay 4s - 2n - 2, as
-    xi_direct's).  Shifted drops the
-    1/c offset of both kernels (the Fourier-assembled series), sums
-    xic_slice's rectangular |k|, |l| <= H windows and takes _cutoff_spread
-    of the partial sums in C.
+    reproduces xi_direct at matched cutoffs; the error is _ball_spread of the
+    sums at the rungs h, each to c = min(C, H) h / H (decay 4s - 2n - 2, as
+    xi_direct's).  Shifted drops the 1/c offset of both kernels (the
+    Fourier-assembled series), sums xic_slice's rectangular |k|, |l| <= H
+    windows and takes _cutoff_spread of the partial sums in c.
     """
     z1 = upper_half(z1, "z1")
     z2 = upper_half(z2, "z2")
     policy = policy or TruncationPolicy()
     warnings = _abscissa_warnings(s, (n + 1) / 2.0)
+    cm = min(policy.C, policy.H)
     if shifted:
-        vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, policy.C + 1)]
-        value, err = _cutoff_spread([tree_sum(vals[:c]) for c in _ladder(policy.C)[:5]])
+        vals = [xic_slice(z1, z2, c, n, s, policy.H, shifted=True) for c in range(1, cm + 1)]
+        value, err = _cutoff_spread([tree_sum(vals[:c]) for c in _ladder(cm)[:5]])
     else:
         term_fn, hs = xi_term_fn(n, s), _ladder(policy.H)[:5]
-        ws, cm = _Workspace(np.unique(hs)), min(policy.C, policy.H)
+        ws = _Workspace(np.unique(hs))
         chunks = [_chunk_value(z1, z2, 1, c, ws, term_fn) / 2.0 for c in range(1, cm + 1)]
         value, err = _ball_spread([
             tree_sum([ch[np.searchsorted(ws.heights, h)] for ch in chunks[:cm * h // policy.H]])

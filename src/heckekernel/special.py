@@ -9,8 +9,8 @@ derivative factor Phi.
     bessel_j1, J_1 and I_1 on arrays: the power series for t <= 1, above it
     bessel_i1  the trapezoid rule on their integrals over [0, pi]
     phi_factor Phi_sgn(Y, n, lam) = e^(2 sgn Y) d^n/dY^n [e^(-2 sgn Y)
-               Y^(-lam) K_lam(2Y)], expanded exactly via the recurrence
-               d/dY [Y^(-mu) K_mu(2Y)] = -2 Y^(-mu) K_(mu+1)(2Y)
+               Y^(-lam) K_lam(2Y)], from (sgn, Y, n, lam), expanded exactly via
+               the recurrence d/dY [Y^(-mu) K_mu(2Y)] = -2 Y^(-mu) K_(mu+1)(2Y)
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .errors import PoleAt
-from .types import PhiArgs
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 # Stieltjes constants gamma_1, gamma_2 for zeta near s = 1
@@ -250,15 +249,20 @@ def _phi_expansion(n: int, sign: int) -> tuple[tuple[int, int, float], ...]:
     return tuple((a, q, c) for (a, q), c in sorted(terms.items()))
 
 
-def phi_factor(args: PhiArgs, kvals: dict | None = None) -> float:
-    """The n-th derivative factor Phi_sgn(Y, n, lam), exactly expanded.  Each
-    K_(lam+q)(2Y) is evaluated once and kept in kvals under (|order|, argument),
-    as K_-lam = K_lam; Phi values that share one dict (a call's r and -r,
-    coinciding arguments) evaluate each distinct Bessel value once."""
-    Y, lam = args.Y, args.lam
+def phi_factor(sign: int, Y: float, n: int, lam: float, kvals: dict | None = None) -> float:
+    """The n-th derivative factor Phi_sign(Y, n, lam), 0 <= n <= 8, exactly
+    expanded.  Each K_(lam+q)(2Y) is evaluated once and kept in kvals under
+    (|order|, argument), as K_-lam = K_lam; Phi values that share one dict (a
+    call's r and -r, coinciding arguments) evaluate each distinct Bessel value once."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not Y > 0:
+        raise ValueError(f"Y must be positive, got {Y}")
+    if not 0 <= n <= 8:
+        raise ValueError(f"derivative order n must be in [0, 8], got {n}")
     kvals = {} if kvals is None else kvals
     total = 0.0
-    for a, q, coeff in _phi_expansion(args.n, args.sign):
+    for a, q, coeff in _phi_expansion(n, sign):
         key = (abs(lam + q), 2.0 * Y)
         kval = kvals[key] if key in kvals else kvals.setdefault(key, bessel_k(*key))
         if kval == 0.0:

@@ -7,7 +7,6 @@ validates them at API boundaries instead of wrapping them in a class.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
 
 from .errors import NotConverged
@@ -26,28 +25,6 @@ def nonzero_imag(z: complex, name: str = "z") -> complex:
     if z.imag == 0:
         raise ValueError(f"{name} must have nonzero imaginary part, got {z}")
     return z
-
-
-@dataclass(frozen=True)
-class PhiArgs:
-    """Arguments of the derivative factor Phi_sgn(Y, n, lam).
-
-    ``n`` is the derivative order (implementation ceiling 8), ``lam`` the
-    Bessel order parameter, ``sign`` the sign carried by the exponential.
-    """
-
-    sign: int
-    Y: float
-    n: int
-    lam: float
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not self.Y > 0:
-            raise ValueError(f"Y must be positive, got {self.Y}")
-        if not (0 <= self.n <= 8):
-            raise ValueError(f"derivative order n must be in [0, 8], got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +172,3 @@ class CheckReport:
             "pass": self.passed,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(", ", ": "))

@@ -15,12 +15,12 @@ from typing import Iterator
 import mpmath
 import numpy as np
 
-from heckekernel.arith import kloosterman_matrix
+from heckekernel.arith import divisor_sigma, kloosterman_matrix
 from heckekernel.continuation import (_kloosterman_zeta_cached, _modes, _weil_zeta_tail, a0_sum,
-                                      ar_sum, arprime_sum, beta_mode)
+                                      alpha_const, beta_modes)
 from heckekernel.latsum import limit_fit, psi_direct
 from heckekernel.modforms import j_q_series
-from heckekernel.special import bessel_k, gamma_fn, rgamma
+from heckekernel.special import bessel_k, gamma_fn, rgamma, zeta_fn
 from heckekernel.types import TruncationPolicy
 
 
@@ -204,6 +204,32 @@ def edge_zeta_reference(a: int, b: int, c0: int = 24, C2: int = 800) -> tuple[fl
         value = float(2 / x * total)
     tail = 2 * float(x) ** 2 / 15 * math.sqrt(max(1, min(m, n))) * _weil_zeta_tail(4.0, C2)
     return value, tail
+
+
+def beta_mode(m: int, r: int, sigma: float, y: float) -> complex:
+    """r-th Fourier coefficient of S_m(z, 0, sigma) at height y (r != 0):
+    continuation.beta_modes at one r."""
+    return beta_modes(m, (r,), sigma, y, {})[0]
+
+
+def ar_sum(r: int, n: int, s: float, z1: complex, z2: complex) -> complex:
+    """Coefficient of e(r Re z2) (modes of the z2 power sum only) in the
+    shifted c > 0 series, with the operations of xi_tilde_fourier."""
+    expo = 1.0 + 2 * n - 4.0 * s
+    head = alpha_const(2 * n, 2.0 * s) * z1.imag**expo
+    # the Ramanujan Dirichlet series in place of the totient one: no pole
+    # cancels the zero of alpha_2n(2s), so these modes die at the edge
+    return (head * beta_mode(0, r, 2.0 * s - n, z2.imag) * divisor_sigma(expo, abs(r))
+            / zeta_fn(4.0 * s - 2.0 * n))
+
+
+def arprime_sum(rp: int, n: int, s: float, z1: complex, z2: complex) -> complex:
+    """Coefficient of e(r' Re z1) (modes of the z1 power sum only) in the
+    shifted c > 0 series, with the operations of xi_tilde_fourier."""
+    expo = 1.0 + 2 * n - 4.0 * s
+    head = alpha_const(0, 2.0 * s - n) * z2.imag**expo
+    return (head * beta_mode(2 * n, rp, 2.0 * s, z1.imag) * divisor_sigma(expo, abs(rp))
+            / zeta_fn(4.0 * s - 2.0 * n))
 
 
 def xi_tilde_per_use(z1: complex, z2: complex, n: int, s: float, cfg) -> tuple[complex, float]:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckekernel import arith, continuation, special
 from heckekernel.arith import divisor_sigma, kloosterman_matrix, totient_sieve
@@ -12,9 +14,6 @@ from heckekernel.continuation import (
     _zeta_ratio_times_alpha2n,
     a0_sum,
     alpha_const,
-    ar_sum,
-    arprime_sum,
-    beta_mode,
     s_series_fourier,
     shift_correction,
     xi_extrapolated,
@@ -27,10 +26,11 @@ from heckekernel.errors import PoleAt
 from heckekernel.latsum import limit_fit, s_series_direct, xi_direct
 from heckekernel.modforms import theorem3_rhs
 from heckekernel.special import bessel_k, gamma_fn, phi_factor, zeta_fn
-from heckekernel.types import FourierAssemblyConfig, PhiArgs, TruncationPolicy
+from heckekernel.types import FourierAssemblyConfig, TruncationPolicy
 
-from oracles import (alpha_moment_sum, c_prefactor, edge_zeta_reference, j_m_coefficients,
-                     kloosterman_zeta, kloosterman_zeta_per_c, phi_factor_fd, xi_tilde_per_use)
+from oracles import (alpha_moment_sum, ar_sum, arprime_sum, beta_mode, c_prefactor,
+                     edge_zeta_reference, j_m_coefficients, kloosterman_zeta,
+                     kloosterman_zeta_per_c, phi_factor_fd, xi_tilde_per_use)
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -164,7 +164,7 @@ class TestCoefficients:
         exact = arprime_sum(rp, n, s, Z1, Z2)
         Y = math.pi * abs(rp) * Z1.imag
         lam = 2 * s - 2 * n - 0.5
-        ratio = phi_factor_fd(1, Y, 2 * n, lam) / phi_factor(PhiArgs(1, Y, 2 * n, lam))
+        ratio = phi_factor_fd(1, Y, 2 * n, lam) / phi_factor(1, Y, 2 * n, lam)
         assert abs(ratio - 1.0) < 1e-5
         assert abs(exact * ratio - exact) / abs(exact) < 1e-5
 
@@ -186,7 +186,7 @@ class TestCoefficients:
             * abs(rp) ** (4 * s - 2 * n - 1)
             * y2 ** (n + 0.5 - 2 * s)
             * bessel_k(2 * s - n - 0.5, 2 * math.pi * abs(r) * y2)
-            * phi_factor(PhiArgs(sgn, math.pi * abs(rp) * y1, 2 * n, 2 * s - 2 * n - 0.5))
+            * phi_factor(sgn, math.pi * abs(rp) * y1, 2 * n, 2 * s - 2 * n - 0.5)
             * zval
         )
         assert val == pytest.approx(expected, rel=1e-11)
@@ -201,7 +201,7 @@ class TestCoefficients:
             abs(c_prefactor(n, s))
             * y2 ** (n + 0.5 - 2 * s)
             * bessel_k(2 * s - n - 0.5, 2 * math.pi * y2)
-            * abs(phi_factor(PhiArgs(1, math.pi * y1, 2 * n, 2 * s - 2 * n - 0.5)))
+            * abs(phi_factor(1, math.pi * y1, 2 * n, 2 * s - 2 * n - 0.5))
             * zeta_bound
         )
         assert val <= bound
@@ -523,6 +523,19 @@ class TestOncePerCall:
         # the factors computed once per call, and the z2 single modes skipped
         # at the edge, give the per-use assembly's value and estimate exactly
         cfg = FourierAssemblyConfig(R=6, C=600, corr_C=60, corr_K=32, tol=1e-2, pairing=pairing)
+        assert xi_tilde_fourier(z1, z2, n, s, cfg) == xi_tilde_per_use(z1, z2, n, s, cfg)
+
+    @settings(max_examples=12, deadline=None)
+    @given(x1=st.floats(-0.5, 0.5, exclude_max=True), x2=st.floats(-0.5, 0.5, exclude_max=True),
+           y1=st.floats(1.0, 2.0), y2=st.floats(1.0, 2.0), n=st.integers(0, 4), data=st.data(),
+           pairing=st.sampled_from(["derived", "printed"]))
+    def test_per_use_reference_to_the_bit(self, x1, x2, y1, y2, n, data, pairing):
+        # pairs in the benchmark strip, s from max(1, (n + 1)/2), the edge
+        # included, to one above it
+        lo = max(1.0, (n + 1) / 2.0)
+        s = data.draw(st.one_of(st.just(lo), st.floats(lo, lo + 1.0)), label="s")
+        z1, z2 = complex(x1, y1), complex(x2, y2)
+        cfg = FourierAssemblyConfig(R=4, C=300, tol=1e-2, pairing=pairing)
         assert xi_tilde_fourier(z1, z2, n, s, cfg) == xi_tilde_per_use(z1, z2, n, s, cfg)
 
     @pytest.mark.parametrize("n,s,pairs", [(1, 1.0, 24), (0, 1.4, 16)])

@@ -35,13 +35,13 @@ from heckekernel.latsum import (
 )
 from heckekernel.accumulate import tree_sum
 from heckekernel.arith import unit_inverse_table
-from heckekernel.continuation import (_c_tail, alpha_const, beta_mode, s_series_fourier,
-                                      shift_correction)
+from heckekernel.continuation import _c_tail, alpha_const, s_series_fourier, shift_correction
 from heckekernel.errors import NearDiagonal, NotConverged
 from heckekernel.modforms import delta_series, delta_value
 from heckekernel.types import FourierAssemblyConfig, TruncationPolicy
 
-from oracles import IntMatrix2, enumerate_matrices, mu, mu_factorized, psi_residue_fit
+from oracles import (IntMatrix2, beta_mode, enumerate_matrices, mu, mu_factorized,
+                     psi_residue_fit)
 
 Z1 = 0.1 + 1.2j
 Z2 = -0.3 + 0.9j
@@ -518,6 +518,19 @@ class TestXic:
             total += s0 * s2n
         total *= float(c) ** (2 * n - 4 * s)
         assert abs(slice_val - total) / abs(total) < 1e-5
+
+    def test_shifted_sum_stops_at_height(self, monkeypatch):
+        # the shifted branch sums c = 1..min(C, H), as the unshifted one
+        # does: one slice per c up to H = 20, not up to the default C = 4000
+        cs, slice_fn = [], latsum.xic_slice
+
+        def counted(z1, z2, c, *args, **kwargs):
+            cs.append(c)
+            return slice_fn(z1, z2, c, *args, **kwargs)
+
+        monkeypatch.setattr(latsum, "xic_slice", counted)
+        xic_direct(Z1, Z2, 1, 1.5, TruncationPolicy(H=20, tol=1e-2), shifted=True)
+        assert cs == list(range(1, 21))
 
 
 def _slice_reference(z1, z2, c, n, s, K, shifted=False):

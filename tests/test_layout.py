@@ -11,12 +11,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heckekernel"
 
-# the module's value functions next to delta_value, kept as its public API;
-# the one-mode coefficients, which xi_tilde_fourier assembles bit for bit
-# from factors it computes once per call
+# the module's value functions next to delta_value, kept as its public API
 ALLOWED_UNREFERENCED = {("modforms", "j_invariant"), ("modforms", "j_prime"),
-                        ("modforms", "dlog_delta"), ("continuation", "ar_sum"),
-                        ("continuation", "arprime_sum")}
+                        ("modforms", "dlog_delta")}
 
 
 def _references(tree: ast.Module) -> tuple[dict, set]:

@@ -16,7 +16,6 @@ from heckekernel.special import (
     zeta_fn,
     zeta_near_one,
 )
-from heckekernel.types import PhiArgs
 
 from oracles import phi_factor_fd
 
@@ -175,18 +174,18 @@ class TestPhiFactor:
     def test_zeroth_derivative_closed_form(self):
         for Y, lam in ((0.7, -0.5), (1.3, 0.8), (2.0, 1.5)):
             expected = Y ** (-lam) * bessel_k(lam, 2 * Y)
-            assert phi_factor(PhiArgs(1, Y, 0, lam)) == pytest.approx(expected, rel=1e-12)
-            assert phi_factor(PhiArgs(-1, Y, 0, lam)) == pytest.approx(expected, rel=1e-12)
+            assert phi_factor(1, Y, 0, lam) == pytest.approx(expected, rel=1e-12)
+            assert phi_factor(-1, Y, 0, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_differences_n2_positive(self):
-        sym = phi_factor(PhiArgs(1, 1.0, 2, -0.5))
+        sym = phi_factor(1, 1.0, 2, -0.5)
         fd = phi_factor_fd(1, 1.0, 2, -0.5)
         assert sym == pytest.approx(fd, rel=1e-5)
 
     def test_matches_finite_differences_n2_negative_sign(self):
         # for sign = -1, lam = -1/2 the bracketed function is constant, so
         # the derivative factor vanishes identically
-        sym = phi_factor(PhiArgs(-1, 2.0, 2, -0.5))
+        sym = phi_factor(-1, 2.0, 2, -0.5)
         fd = phi_factor_fd(-1, 2.0, 2, -0.5)
         assert sym == 0.0
         assert abs(fd) < 1e-9
@@ -195,13 +194,20 @@ class TestPhiFactor:
         (1, 1.5, 1, 0.7), (1, 3.0, 2, 1.5), (-1, 1.2, 1, 0.3), (-1, 2.5, 2, 1.1),
     ])
     def test_matches_finite_differences_grid(self, sign, Y, n, lam):
-        sym = phi_factor(PhiArgs(sign, Y, n, lam))
+        sym = phi_factor(sign, Y, n, lam)
         fd = phi_factor_fd(sign, Y, n, lam)
         assert sym == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
     def test_derivative_order_ceiling(self):
-        with pytest.raises(ValueError):
-            PhiArgs(1, 1.0, 9, 0.5)
+        with pytest.raises(ValueError, match="derivative order n"):
+            phi_factor(1, 1.0, 9, 0.5)
+
+    @pytest.mark.parametrize("sign,Y,n,message", [
+        (0, 1.0, 2, "sign must be"), (1, 0.0, 2, "Y must be positive"),
+        (1, -1.0, 2, "Y must be positive"), (1, 1.0, -1, "derivative order n")])
+    def test_arguments_checked(self, sign, Y, n, message):
+        with pytest.raises(ValueError, match=message):
+            phi_factor(sign, Y, n, 0.5)
 
     def test_underflow_propagates_to_zero(self):
-        assert phi_factor(PhiArgs(1, 400.0, 2, -0.5)) == 0.0
+        assert phi_factor(1, 400.0, 2, -0.5) == 0.0
